@@ -66,113 +66,6 @@ struct RunResult {
   uint64_t fsyncs = 0;
 };
 
-// One configuration of the write-domain sweep: async ingest plus the
-// background index-maintenance lane, on a simulated device whose fsync
-// BLOCKS (sleeps) — so two streams fsyncing from two threads genuinely
-// overlap, exactly like two files on a real disk.
-struct DomainRunResult {
-  double events_per_sec = 0;
-  storage::DomainStats graph;  // stream 0: ingest commits
-  storage::DomainStats text;   // stream 1: index refreshes
-  uint64_t fsync_overlaps = 0;
-  uint64_t fsyncs = 0;
-  uint64_t maintenance_runs = 0;
-  uint64_t early_flushes = 0;
-};
-
-constexpr uint32_t kDeviceSyncUs = 20000;  // budget-flash (SD/eMMC-class) fsync
-
-// The sweep browses fresh pages (every URL unique): each maintenance
-// pass has new documents to index, so the refresh lane carries real
-// commits instead of no-op flushes — the load the text domain exists to
-// absorb.
-std::vector<std::vector<capture::BrowserEvent>> MakeFreshStreams(
-    int threads, int per_thread) {
-  std::vector<std::vector<capture::BrowserEvent>> streams(threads);
-  for (int t = 0; t < threads; ++t) {
-    streams[t].reserve(per_thread);
-    for (int i = 0; i < per_thread; ++i) {
-      capture::VisitEvent v;
-      v.time = util::Days(1) + static_cast<util::TimeMs>(i) * 250;
-      v.tab = static_cast<uint64_t>(t) + 1;
-      v.visit_id = static_cast<uint64_t>(t) * 10000000 + i + 1;
-      v.url = "https://t" + std::to_string(t) + ".example/article/" +
-              std::to_string(i);
-      v.title = "fresh page " + std::to_string(i) +
-                " provenance capture index refresh";
-      v.action = capture::NavigationAction::kTyped;
-      streams[t].push_back(v);
-    }
-  }
-  return streams;
-}
-
-DomainRunResult RunDomainSweep(uint32_t write_domains, int threads,
-                               int per_thread) {
-  storage::MemEnv env;
-  env.set_sync_cost_us(kDeviceSyncUs);
-  env.set_sync_sleeps(true);  // blocked-in-fsync: overlap is possible
-  prov::ProvenanceDb::Options options;
-  options.db.env = &env;
-  options.db.write_domains = write_domains;
-  // Tight window so the ingest lane fsyncs every other batch; the
-  // refresh lane commits once per maintenance pass (never fills its
-  // window) and is made durable by the maintenance thread OUTSIDE the
-  // writer mutex — the overlap the domain split exists to create. The
-  // 1-domain run is the identical workload on a single stream: the
-  // refresh commits land between the ingest commits and every fsync
-  // serializes on that one file.
-  options.db.wal_group_commit = 2;
-  options.ingest_batch = 32;
-  options.async.index_maintenance = true;
-  // Refresh as eagerly as the maintenance lane allows: search results
-  // stay fresh, and the 1-domain run pays the full price of interleaving
-  // refresh commits into the ingest lane's group-commit window.
-  options.async.index_min_backlog = 1;
-  auto db =
-      MustOk(prov::ProvenanceDb::Open("domains.db", options), "open");
-
-  auto streams = MakeFreshStreams(threads, per_thread);
-  util::Stopwatch total;
-  std::vector<std::thread> capture_threads;
-  for (int t = 0; t < threads; ++t) {
-    capture_threads.emplace_back([&, t] {
-      for (const capture::BrowserEvent& event : streams[t]) {
-        MustOk(db->IngestAsync(event).status(), "enqueue");
-      }
-    });
-  }
-  for (std::thread& t : capture_threads) t.join();
-  // Let the committer drain the burst at its own cadence. Calling
-  // Drain() here would plant the flush barrier while the queue is still
-  // deep, forcing a group close (and an fsync) after every batch — a
-  // degenerate mode that hides the group-commit window entirely. Wait
-  // for the commits, then barrier once for the durability tail.
-  const uint64_t total_events =
-      static_cast<uint64_t>(threads) * static_cast<uint64_t>(per_thread);
-  util::Stopwatch commit_wait;
-  while (db->pipeline_stats().committed < total_events) {
-    // A sticky committer error stops `committed` short; fall through to
-    // Drain, which reports it, instead of spinning forever.
-    if (commit_wait.ElapsedMs() > 120'000.0) break;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  MustOk(db->Drain(), "drain");
-  const double seconds = total.ElapsedMs() / 1000.0;
-
-  DomainRunResult r;
-  r.events_per_sec =
-      static_cast<double>(threads) * per_thread / seconds;
-  r.graph = db->db().pager().domain_stats(storage::kGraphDomain);
-  r.text = db->db().pager().domain_stats(storage::kTextDomain);
-  const storage::PagerStats stats = db->db().pager().stats();
-  r.fsync_overlaps = stats.fsync_overlaps;
-  r.fsyncs = stats.fsyncs;
-  r.maintenance_runs = db->pipeline_stats().maintenance_runs;
-  r.early_flushes = db->pipeline_stats().early_flushes;
-  return r;
-}
-
 RunResult Run(bool async, int threads, int per_thread) {
   storage::MemEnv env;
   env.set_sync_cost_us(kSyncCostUs);
@@ -289,64 +182,6 @@ int main(int argc, char** argv) {
           (unsigned long long)async.fsyncs);
     }
   }
-  // ------------------------------------------- write-domain sweep
-  // Same capture workload, async + background index maintenance, on a
-  // BLOCKING simulated device (fsync sleeps 400us): one WAL stream vs
-  // the partitioned layout where index refreshes ride their own stream
-  // and fsync from the maintenance thread, overlapped with the ingest
-  // committer's group commits.
-  Blank();
-  Row("write-domain sweep (4 capture threads, async + index "
-      "maintenance, %uus blocking fsync, group window 2, batch 32):",
-      kDeviceSyncUs);
-  DomainRunResult one = RunDomainSweep(/*write_domains=*/1, 4, per_thread);
-  DomainRunResult two = RunDomainSweep(/*write_domains=*/2, 4, per_thread);
-  const double domain_speedup =
-      one.events_per_sec > 0 ? two.events_per_sec / one.events_per_sec
-                             : 0.0;
-  Row("  1 domain : %12.0f ev/s  (%llu fsyncs, 0 overlapped, "
-      "%llu maintenance passes)",
-      one.events_per_sec, (unsigned long long)one.fsyncs,
-      (unsigned long long)one.maintenance_runs);
-  Row("  2 domains: %12.0f ev/s  (%llu fsyncs, %llu overlapped, "
-      "%llu maintenance passes)  %.2fx",
-      two.events_per_sec, (unsigned long long)two.fsyncs,
-      (unsigned long long)two.fsync_overlaps,
-      (unsigned long long)two.maintenance_runs, domain_speedup);
-  Row("  2-domain streams: graph %llu txns / %llu wal bytes / %llu "
-      "fsyncs, text %llu txns / %llu wal bytes / %llu fsyncs",
-      (unsigned long long)two.graph.commits,
-      (unsigned long long)two.graph.wal_bytes,
-      (unsigned long long)two.graph.fsyncs,
-      (unsigned long long)two.text.commits,
-      (unsigned long long)two.text.wal_bytes,
-      (unsigned long long)two.text.fsyncs);
-  Row("  2-domain group commits: graph %llu, text %llu; pipeline early "
-      "flushes %llu",
-      (unsigned long long)two.graph.group_commits,
-      (unsigned long long)two.text.group_commits,
-      (unsigned long long)two.early_flushes);
-  Metric("domains1_events_per_sec", one.events_per_sec);
-  Metric("domains2_events_per_sec", two.events_per_sec);
-  Metric("domain_split_speedup", domain_speedup);
-  Metric("domains2_graph_commits", static_cast<double>(two.graph.commits));
-  Metric("domains2_graph_wal_bytes",
-         static_cast<double>(two.graph.wal_bytes));
-  Metric("domains2_graph_fsyncs", static_cast<double>(two.graph.fsyncs));
-  Metric("domains2_text_commits", static_cast<double>(two.text.commits));
-  Metric("domains2_text_wal_bytes",
-         static_cast<double>(two.text.wal_bytes));
-  Metric("domains2_text_fsyncs", static_cast<double>(two.text.fsyncs));
-  Metric("domains2_fsync_overlaps",
-         static_cast<double>(two.fsync_overlaps));
-  Metric("domains2_maintenance_runs",
-         static_cast<double>(two.maintenance_runs));
-  // The split only helps if BOTH streams carried commits and their
-  // fsyncs actually overlapped.
-  const bool domains_pass = domain_speedup >= 1.5 &&
-                            two.text.commits > 0 &&
-                            two.fsync_overlaps > 0;
-
   Blank();
   // The engine's own view of the same runs, through the process-wide
   // registry histograms (accumulated over every async Run above): the
@@ -362,10 +197,6 @@ int main(int argc, char** argv) {
                          "bp_ingest_batch_events", "", ""));
   Row("acceptance (async >= 2x sync at 4 capture threads): %s (%.2fx)",
       pass ? "PASS" : "FAIL", speedup_at_4);
-  Row("acceptance (2-domain async >= 1.5x 1-domain at 4 threads, "
-      "overlapped fsyncs observed): %s (%.2fx, %llu overlaps)",
-      domains_pass ? "PASS" : "FAIL", domain_speedup,
-      (unsigned long long)two.fsync_overlaps);
   int json_status = Finish();
-  return pass && domains_pass ? json_status : 1;
+  return pass ? json_status : 1;
 }

@@ -14,7 +14,7 @@ using util::Result;
 using util::Status;
 
 IngestPipeline::IngestPipeline(PipelineOptions options, CommitFn commit,
-                               SyncFn sync, MaintenanceFn maintenance)
+                               SyncFn sync)
     : options_([&] {
         PipelineOptions o = options;
         o.queue_capacity = std::max<size_t>(1, o.queue_capacity);
@@ -22,8 +22,7 @@ IngestPipeline::IngestPipeline(PipelineOptions options, CommitFn commit,
         return o;
       }()),
       commit_(std::move(commit)),
-      sync_(std::move(sync)),
-      maintenance_(std::move(maintenance)) {
+      sync_(std::move(sync)) {
   // Check before the committer starts: the thread calls these blindly.
   BP_CHECK(commit_ != nullptr && sync_ != nullptr);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -40,9 +39,6 @@ IngestPipeline::IngestPipeline(PipelineOptions options, CommitFn commit,
       "Events coalesced per committer storage transaction");
   queue_depth_gauge_ = reg.GetGauge("bp_ingest_queue_depth", "",
                                     "Events waiting in the ingest queue");
-  if (maintenance_ != nullptr) {
-    maintenance_thread_ = std::thread([this] { MaintenanceLoop(); });
-  }
   committer_ = std::thread([this] { CommitterLoop(); });
 }
 
@@ -52,17 +48,12 @@ IngestPipeline::~IngestPipeline() {
     stop_ = true;
     // Shutdown behaves like a final Drain: the committer empties the
     // queue and closes the group before exiting (unless a sticky error
-    // already made that impossible), and the maintenance lane finishes
-    // any pass it still owes before joining.
+    // already made that impossible).
     flush_target_ = next_ticket_ - 1;
   }
   work_cv_.notify_all();
   space_cv_.notify_all();
   committer_.join();
-  // After the committer exits: no new maintenance wakeups can arrive,
-  // so the maintenance thread drains its last pending pass and stops.
-  maint_cv_.notify_all();
-  if (maintenance_thread_.joinable()) maintenance_thread_.join();
 }
 
 Result<IngestPipeline::Ticket> IngestPipeline::Enqueue(
@@ -195,12 +186,6 @@ void IngestPipeline::CommitterLoop() {
         stats_.committed += n;
         if (n > 1) ++stats_.coalesced_txns;
         if (*durable) durable_ = committed_;
-        if (maintenance_ != nullptr) {
-          // Wake the maintenance lane; wakeups coalesce into one
-          // pending pass, so a slow pass absorbs a burst of batches.
-          maint_pending_ = true;
-          maint_cv_.notify_one();
-        }
       }
     }
 
@@ -238,38 +223,6 @@ void IngestPipeline::CommitterLoop() {
     ack_cv_.notify_all();
 
     if (stop_ && (queue_.empty() || !status_.ok())) return;
-  }
-}
-
-void IngestPipeline::MaintenanceLoop() {
-  util::MutexLock lock(mu_);
-  for (;;) {
-    // Explicit wait loop for the same thread-safety-analysis reason as
-    // Enqueue's (see util/mutex.hpp).
-    while (!stop_ && !maint_pending_) {
-      maint_cv_.wait(lock.native());
-    }
-    if (maint_pending_) {
-      maint_pending_ = false;
-      if (status_.ok()) {
-        lock.Unlock();
-        obs::ScopedSpan span("pipeline.maintenance");
-        Status maintained = maintenance_();
-        lock.Lock();
-        ++stats_.maintenance_runs;
-        if (!maintained.ok() && status_.ok()) {
-          // Maintenance failures are as sticky as committer failures:
-          // the storage layer underneath is in an unknown state, so
-          // stop acknowledging work against it.
-          status_ = maintained;
-          queue_.clear();
-          popped_ = next_ticket_ - 1;
-          space_cv_.notify_all();
-          ack_cv_.notify_all();
-        }
-      }
-    }
-    if (stop_ && !maint_pending_) return;
   }
 }
 

@@ -77,7 +77,6 @@ struct PipelineStats {
   uint64_t rejected = 0;        // kReject refusals on a full queue
   uint64_t blocked_enqueues = 0;  // kBlock waits on a full queue
   uint64_t max_queue_depth = 0;   // deepest the queue ever got
-  uint64_t maintenance_runs = 0;  // maintenance-lane invocations
   // Mean depth over samples taken at BOTH transition points — after
   // every enqueue and after every batch pop — so bursts the committer
   // drains between enqueues and idle stretches both weigh in (sampling
@@ -102,27 +101,11 @@ class IngestPipeline {
   // Makes every committed event durable now (closes a partially filled
   // group-commit window).
   using SyncFn = std::function<util::Status()>;
-  // Optional maintenance lane: runs on its OWN thread, woken after every
-  // committed batch (wakeups coalesce into one pending flag, so a slow
-  // maintenance pass absorbs any number of batches). The callable
-  // decides for itself whether there is enough backlog to act on (e.g.
-  // ProvenanceDb refreshes the text index only past index_min_backlog)
-  // and must synchronize its storage access like CommitFn — the point of
-  // the separate thread is that the DURABILITY part (fsyncing the text
-  // domain's WAL stream) runs outside the writer mutex and overlaps the
-  // committer's own fsync on the ingest domain. Errors are sticky,
-  // exactly like committer errors.
-  using MaintenanceFn = std::function<util::Status()>;
 
-  // Starts the committer thread (and, with a non-null MaintenanceFn,
-  // the maintenance thread). The callables run ON those threads and
+  // Starts the committer thread. The callables run ON that thread and
   // must synchronize their storage access themselves (ProvenanceDb
   // passes closures that take its writer mutex).
-  IngestPipeline(PipelineOptions options, CommitFn commit, SyncFn sync)
-      : IngestPipeline(std::move(options), std::move(commit),
-                       std::move(sync), nullptr) {}
-  IngestPipeline(PipelineOptions options, CommitFn commit, SyncFn sync,
-                 MaintenanceFn maintenance);
+  IngestPipeline(PipelineOptions options, CommitFn commit, SyncFn sync);
   // Drains what it can (a final implicit Flush of the last enqueued
   // ticket; skipped once a sticky error latched), then joins.
   ~IngestPipeline();
@@ -152,7 +135,6 @@ class IngestPipeline {
 
  private:
   void CommitterLoop() BP_EXCLUDES(mu_);
-  void MaintenanceLoop() BP_EXCLUDES(mu_);
   // Committer must wake to close the group early: something committed
   // is not yet durable and a Flush barrier (or shutdown) wants it.
   bool SyncWantedLocked() const BP_REQUIRES(mu_) {
@@ -162,13 +144,11 @@ class IngestPipeline {
   const PipelineOptions options_;
   const CommitFn commit_;
   const SyncFn sync_;
-  const MaintenanceFn maintenance_;  // null = no maintenance lane
 
   mutable util::Mutex mu_;
   std::condition_variable work_cv_;   // wakes the committer
   std::condition_variable space_cv_;  // wakes producers blocked on space
   std::condition_variable ack_cv_;    // wakes Flush/Drain waiters
-  std::condition_variable maint_cv_;  // wakes the maintenance thread
   std::deque<BrowserEvent> queue_ BP_GUARDED_BY(mu_);
   Ticket next_ticket_ BP_GUARDED_BY(mu_) = 1;  // next Enqueue's ticket
   Ticket popped_ BP_GUARDED_BY(mu_) = 0;     // last handed to committer
@@ -177,9 +157,6 @@ class IngestPipeline {
   Ticket flush_target_ BP_GUARDED_BY(mu_) = 0;  // highest Flush() wait
   util::Status status_ BP_GUARDED_BY(mu_);      // sticky committer error
   bool stop_ BP_GUARDED_BY(mu_) = false;
-  // Maintenance wakeups coalesce: any number of batch commits while a
-  // pass is in flight collapse into one more pending pass.
-  bool maint_pending_ BP_GUARDED_BY(mu_) = false;
   PipelineStats stats_ BP_GUARDED_BY(mu_);
   uint64_t depth_samples_ BP_GUARDED_BY(mu_) = 0;
   uint64_t depth_sum_ BP_GUARDED_BY(mu_) = 0;
@@ -192,8 +169,7 @@ class IngestPipeline {
   obs::Histogram* sync_latency_us_ = nullptr;
   obs::Histogram* batch_events_ = nullptr;
   obs::Gauge* queue_depth_gauge_ = nullptr;
-  // Declared last: start after every member above is initialized.
-  std::thread maintenance_thread_;  // running iff maintenance_ != null
+  // Declared last: starts after every member above is initialized.
   std::thread committer_;
 };
 

@@ -71,7 +71,6 @@ Result<std::unique_ptr<ProvenanceDb>> ProvenanceDb::Open(
   // Stand the async pipeline up LAST: its committer thread reaches into
   // every member above from the moment it starts.
   out->drain_before_query_ = options.async.drain_before_query;
-  out->index_min_backlog_ = options.async.index_min_backlog;
   if (options.async.enabled) {
     capture::PipelineOptions popts;
     popts.queue_capacity = options.async.queue_capacity;
@@ -83,16 +82,12 @@ Result<std::unique_ptr<ProvenanceDb>> ProvenanceDb::Open(
           util::Result<IngestTicket> ticket = raw->IngestAsync(event);
           return ticket.ok() ? util::Status::Ok() : ticket.status();
         });
-    capture::IngestPipeline::MaintenanceFn maintenance;
-    if (options.async.index_maintenance) {
-      maintenance = [raw] { return raw->MaintainIndex(); };
-    }
     out->pipeline_ = std::make_unique<capture::IngestPipeline>(
         popts,
         [raw](std::vector<capture::BrowserEvent>&& events, size_t backlog) {
           return raw->CommitEventBatch(std::move(events), backlog);
         },
-        [raw] { return raw->SyncPipeline(); }, std::move(maintenance));
+        [raw] { return raw->SyncPipeline(); });
     // Export the pipeline's own counters at dump time (the Pager
     // registers its collector itself in Pager::Open). Safe raw capture:
     // the destructor removes the collector before touching pipeline_.
@@ -119,8 +114,6 @@ Result<std::unique_ptr<ProvenanceDb>> ProvenanceDb::Open(
       sink.Gauge("bp_ingest_mean_queue_depth", labels,
                  "Mean queue depth over enqueue/pop samples",
                  p.mean_queue_depth);
-      sink.Counter("bp_ingest_maintenance_runs", labels,
-                   "Background index-maintenance passes", p.maintenance_runs);
     });
   }
   return out;
@@ -240,7 +233,6 @@ Result<bool> ProvenanceDb::CommitEventBatch(
     }
   }
   index_stale_ = true;
-  stale_events_ += events.size();
   Status committed = batch.Commit();
   if (!committed.ok()) {
     // Commit marks the AutoTxn retired before the pager runs, so a
@@ -256,15 +248,13 @@ Result<bool> ProvenanceDb::CommitEventBatch(
          db_->pager().unsynced_commits() == 0;
 }
 
-// Deliberately NOT under mu_: FlushPending only takes the pager's
-// per-domain stream mutexes (WalWriter::Sync is the cross-thread half
-// of the WAL protocol), so the committer's group-close fsync can
-// overlap a maintenance-lane refresh running under mu_ — and the
-// maintenance fsync of stream 1 can overlap this one on stream 0.
-// Ack correctness is untouched: FlushPending syncs EVERY domain, and
-// any commit sequenced before the committer's last batch is visible to
-// its unsynced-count loads (the committer held mu_ for that batch
-// after the earlier commit released it).
+// Deliberately NOT under mu_: FlushPending only takes the pager's log
+// mutex (WalWriter::Sync is the cross-thread half of the WAL protocol),
+// so the committer's group-close fsync does not block synchronous
+// writers and queries waiting on mu_. Ack correctness is untouched: any
+// commit sequenced before the committer's last batch is visible to the
+// unsynced-count load (the committer held mu_ for that batch after the
+// earlier commit released it).
 Status ProvenanceDb::SyncPipeline() {
   return db_->pager().FlushPending().status();
 }
@@ -273,7 +263,6 @@ Status ProvenanceDb::Ingest(const capture::BrowserEvent& event) {
   util::RecursiveMutexLock lock(mu_);
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
   index_stale_ = true;
-  ++stale_events_;
   return bus_.Publish(event);
 }
 
@@ -292,40 +281,17 @@ Status ProvenanceDb::IngestAll(
 }
 
 Status ProvenanceDb::RefreshIndex() {
-  if (restore_watermark_ != UINT64_MAX) {
+  if (restore_index_) {
     // A Batch rolled back after a mid-batch query indexed its pages:
-    // rewind past the rolled-back node ids (now reusable) and re-read
-    // the reverted corpus stats before indexing anything new.
-    BP_RETURN_IF_ERROR(searcher_->RestoreIndexState(restore_watermark_));
-    restore_watermark_ = UINT64_MAX;
+    // re-read the watermark and corpus stats from the reverted trees,
+    // so the rolled-back node ids (now reusable) are indexed again.
+    BP_RETURN_IF_ERROR(searcher_->index().ReloadStats());
+    restore_index_ = false;
   }
   if (!index_stale_) return Status::Ok();
   BP_RETURN_IF_ERROR(searcher_->IndexNewPages());
   index_stale_ = false;
-  stale_events_ = 0;
   return Status::Ok();
-}
-
-// Maintenance thread (async.index_maintenance): the refresh transaction
-// itself runs under mu_ like any writer — InvertedIndex::Flush routes
-// its WAL frames to the TEXT domain's stream — but the durability step
-// happens AFTER mu_ is released, so this thread's fsync of stream 1
-// overlaps the committer's group-commit fsync of stream 0. On a
-// single-stream database the domain sync below is a no-op (nothing was
-// routed to stream 1) and the refresh rides the next ack like any
-// other commit.
-Status ProvenanceDb::MaintainIndex() {
-  {
-    util::RecursiveMutexLock lock(mu_);
-    if (closed_.load(std::memory_order_acquire)) return Status::Ok();
-    if (!index_stale_ || stale_events_ < index_min_backlog_) {
-      return Status::Ok();  // not enough backlog to be worth a pass
-    }
-    BP_RETURN_IF_ERROR(RefreshIndex());
-  }
-  // Close() joins this thread (via the pipeline) before db_ is torn
-  // down, so the unlocked access is safe.
-  return db_->pager().SyncWalDomain(storage::kTextDomain);
 }
 
 Status ProvenanceDb::Sync() {

@@ -109,31 +109,17 @@ class ProvenanceDb {
       // synchronous path. Turn off to let queries run against whatever
       // has committed (lower query latency under sustained ingest).
       bool drain_before_query = true;
-      // Background index maintenance lane: a second pipeline thread,
-      // woken after every committed ingest batch, refreshes the lazy
-      // text index in its own write-domain transaction (WAL stream 1)
-      // and fsyncs that stream OUTSIDE the writer mutex — so the index
-      // refresh's fsync overlaps the ingest committer's fsync on
-      // stream 0 instead of serializing behind it. Queries keep their
-      // lazy refresh as a backstop; this just moves the work off the
-      // query path. Requires async.enabled; no-op when the database
-      // was opened with a single write domain.
-      bool index_maintenance = false;
-      // Backlog gate: skip a maintenance pass until at least this many
-      // events have been ingested since the last index refresh (avoids
-      // re-walking the index trees for every tiny batch).
-      size_t index_min_backlog = 1024;
     };
     AsyncOptions async;
 
+    // WAL durability with a group-commit window of 8: every commit —
+    // ingest batches and text-index refreshes alike — appends to the one
+    // log, <path>.wal; an acknowledgement (Flush, Drain, Sync) is an
+    // fsync of that file, and checkpoints fold it into the database
+    // file (see storage/pager.hpp).
     Options() {
       db.durability = storage::DurabilityMode::kWal;
       db.wal_group_commit = 8;
-      // Partitioned write domains: graph/prov/places commits ride
-      // stream 0, lazy text-index refreshes stream 1 (see
-      // storage/pager.hpp). Single-stream layouts remain readable; set
-      // to 1 to get the pre-partitioned behavior.
-      db.write_domains = 2;
     }
   };
 
@@ -231,10 +217,7 @@ class ProvenanceDb {
     // Contract violation (throws) on a closed database: the batch
     // would have no storage to compose into.
     explicit Batch(ProvenanceDb& db)
-        : db_(CheckOpenForBatch(db)),
-          lock_(db.mu_),
-          watermark_(db.searcher_->indexed_watermark()),
-          inner_(*db.store_) {
+        : db_(CheckOpenForBatch(db)), lock_(db.mu_), inner_(*db.store_) {
       // While any user Batch is open, queries skip the read-your-writes
       // drain: the committer needs mu_ (held right here) to make
       // progress, so a same-thread drain would deadlock — and mid-batch
@@ -249,13 +232,13 @@ class ProvenanceDb {
     // Destruction without Commit rolls the storage back (when this
     // batch owns the transaction). A mid-batch text query may have
     // indexed the batch's pages (RefreshIndex composes into the open
-    // transaction), so the searcher's watermark and cached corpus stats
-    // now cover rolled-back node ids; schedule their restore for the
+    // transaction), so the index's cached watermark and corpus stats
+    // now cover rolled-back node ids; schedule their reload for the
     // next RefreshIndex — it must run AFTER the rollback, which member
     // destruction order puts after this body.
     ~Batch() {
       if (!committed_ && inner_.owns_transaction()) {
-        db_.ScheduleIndexRestore(watermark_);
+        db_.ScheduleIndexRestore();
       }
       db_.user_batches_.fetch_sub(1, std::memory_order_release);
     }
@@ -263,7 +246,6 @@ class ProvenanceDb {
    private:
     ProvenanceDb& db_;
     util::RecursiveMutexLock lock_;
-    graph::NodeId watermark_;
     bool committed_ = false;
     ProvStore::IngestBatch inner_;
   };
@@ -340,7 +322,9 @@ class ProvenanceDb {
   //
   // Makes every commit so far durable without waiting for the group
   // commit window to fill (-> Pager::SyncWal). No-op in journal mode,
-  // where every commit is already durable on return.
+  // where every commit is already durable on return. After a failed log
+  // fsync this, Flush, Drain and Checkpoint return that error until the
+  // database is reopened (see Pager::SyncWal).
   util::Status Sync();
   // Folds the write-ahead log into the database file now (->
   // Pager::Checkpoint). FailedPrecondition while snapshots are live (a
@@ -433,8 +417,8 @@ class ProvenanceDb {
   util::Status RefreshIndex() BP_REQUIRES(mu_);
   // Called by ~Batch on rollback; mu_ is held (the Batch holds it —
   // destructor bodies are outside the analysis, hence no caller check).
-  void ScheduleIndexRestore(graph::NodeId watermark) BP_REQUIRES(mu_) {
-    if (restore_watermark_ > watermark) restore_watermark_ = watermark;
+  void ScheduleIndexRestore() BP_REQUIRES(mu_) {
+    restore_index_ = true;
     index_stale_ = true;
   }
   // BeginSnapshot body; mu_ must already be held. Graph-only one-shot
@@ -505,13 +489,9 @@ class ProvenanceDb {
   std::unique_ptr<search::HistorySearcher> searcher_;
   size_t ingest_batch_ = 256;
   bool index_stale_ BP_GUARDED_BY(mu_) = false;
-  // Events ingested since the last index refresh — the maintenance
-  // lane's backlog gate (see AsyncOptions::index_min_backlog).
-  size_t stale_events_ BP_GUARDED_BY(mu_) = 0;
-  size_t index_min_backlog_ = 1024;
-  // Watermark to rewind the searcher to before the next re-index
-  // (UINT64_MAX = nothing pending); set by rolled-back Batches.
-  graph::NodeId restore_watermark_ BP_GUARDED_BY(mu_) = UINT64_MAX;
+  // Set by rolled-back Batches: reload the index state before the next
+  // re-index.
+  bool restore_index_ BP_GUARDED_BY(mu_) = false;
 
   // --- async ingest pipeline ---------------------------------------
   // The committer-thread callbacks behind the pipeline: one storage
@@ -519,12 +499,6 @@ class ProvenanceDb {
   util::Result<bool> CommitEventBatch(
       std::vector<capture::BrowserEvent>&& events, size_t backlog);
   util::Status SyncPipeline();
-  // Maintenance-lane callback (async.index_maintenance): refreshes the
-  // text index under mu_ — the refresh transaction rides the TEXT write
-  // domain (WAL stream 1) — then fsyncs that stream OUTSIDE mu_, so the
-  // fsync overlaps the committer's stream-0 group commit. Gated on
-  // index_min_backlog_ events since the last refresh.
-  util::Status MaintainIndex();
 
   bool drain_before_query_ = true;
   // Open user Batches (writer lock held by a user thread); > 0 makes

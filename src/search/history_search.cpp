@@ -34,7 +34,6 @@ Result<std::unique_ptr<HistorySearcher>> HistorySearcher::AtSnapshot(
   std::unique_ptr<HistorySearcher> view(
       new HistorySearcher(db_, bound_store));
   BP_ASSIGN_OR_RETURN(view->index_, index_->AtSnapshot(snap));
-  view->indexed_watermark_ = indexed_watermark_;
   view->bound_ = true;
   return view;
 }
@@ -44,8 +43,8 @@ Status HistorySearcher::IndexNewPages() {
   // Canonical page nodes carry url+title; node ids ascend, so the cursor
   // seeks straight to the first node past the watermark instead of
   // scanning (and skipping) everything below it.
-  NodeId high = indexed_watermark_;
-  graph::NodeCursor cur = store_.graph().Nodes(indexed_watermark_ + 1);
+  NodeId high = index_->watermark();
+  graph::NodeCursor cur = store_.graph().Nodes(high + 1);
   for (; cur.Valid(); cur.Next()) {
     high = std::max(high, cur.node().id());
     if (cur.node().kind() != static_cast<uint32_t>(NodeKind::kPage)) {
@@ -59,7 +58,7 @@ Status HistorySearcher::IndexNewPages() {
         index_->AddDocument(cur.node().id(), text::Tokenize(doc)));
   }
   BP_RETURN_IF_ERROR(cur.status());
-  indexed_watermark_ = high;
+  index_->set_watermark(high);
   return index_->Flush();
 }
 

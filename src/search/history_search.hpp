@@ -75,19 +75,11 @@ class HistorySearcher {
       const storage::Snapshot& snap, prov::ProvStore& bound_store) const;
   bool snapshot_bound() const { return bound_; }
 
-  // Indexes canonical pages added since the last call (id watermark), so
-  // it can be called after every ingestion batch.
+  // Indexes canonical pages added since the last call, so it can be
+  // called after every ingestion batch. The node-id watermark is stored
+  // in the index (text::InvertedIndex::watermark), so after a reopen it
+  // indexes only pages the last committed call did not cover.
   util::Status IndexNewPages();
-
-  // Recovery hook for a caller whose transaction rolled back after an
-  // IndexNewPages composed into it: rewinds the watermark to what it
-  // was before that indexing and re-reads the (reverted) corpus stats,
-  // so pages whose node ids are reused later are not silently skipped.
-  NodeId indexed_watermark() const { return indexed_watermark_; }
-  util::Status RestoreIndexState(NodeId watermark) {
-    indexed_watermark_ = watermark;
-    return index_->ReloadStats();
-  }
 
   // Baseline: BM25 only. Returns pages ranked by text_score.
   util::Result<ContextualSearchResult> TextualSearch(
@@ -111,7 +103,6 @@ class HistorySearcher {
   storage::Db& db_;
   prov::ProvStore& store_;
   std::unique_ptr<text::InvertedIndex> index_;
-  NodeId indexed_watermark_ = 0;
   bool bound_ = false;  // snapshot-bound handle (AtSnapshot)
 };
 

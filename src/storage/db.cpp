@@ -32,7 +32,6 @@ Result<std::unique_ptr<Db>> Db::Open(const std::string& path,
   popts.durability = options.durability;
   popts.wal_group_commit = options.wal_group_commit;
   popts.wal_checkpoint_bytes = options.wal_checkpoint_bytes;
-  popts.write_domains = options.write_domains;
   popts.pool_bytes = options.pool_bytes;
   popts.buffer_pool = options.buffer_pool;
   popts.pool_publish_on_commit = options.pool_publish_on_commit;

@@ -25,11 +25,6 @@ struct DbOptions {
   DurabilityMode durability = DurabilityMode::kRollbackJournal;
   uint32_t wal_group_commit = 1;
   uint64_t wal_checkpoint_bytes = 4 << 20;
-  // Partitioned write domains (WAL mode; see PagerOptions): each domain
-  // owns its own log stream and group-commit clock, so committers on
-  // different domains overlap their fsyncs. 1 = the single-stream
-  // layout; clamped to [1, kMaxWriteDomains].
-  uint32_t write_domains = 1;
   // Versioned buffer pool shared by the whole read path (WAL mode; see
   // PagerOptions). pool_bytes = 0 disables it; buffer_pool (when set)
   // joins an existing pool so several databases share one byte budget.

@@ -19,12 +19,6 @@ using util::Result;
 using util::Status;
 using util::Writer;
 
-// The multi-domain paths below are unrolled per domain (not looped) so
-// the thread-safety analysis can match each MutexLock against the
-// BP_REQUIRES expression of the helper it guards.
-static_assert(kMaxWriteDomains == 2,
-              "unrolled domain lock sites assume exactly 2 domains");
-
 // ---------------------------------------------------------------- PageRef
 
 PageRef::PageRef(Pager* pager, internal::Frame* frame, bool writable)
@@ -73,16 +67,26 @@ Pager::Pager(std::string path, PagerOptions options)
 
 Result<std::unique_ptr<Pager>> Pager::Open(std::string path,
                                            PagerOptions options) {
+  // Builds that split the WAL into two streams left committed
+  // transactions in <path>.wal1, interleaved by commit sequence with
+  // <path>.wal. Folding <path>.wal alone would apply commits past a
+  // missing one, and dropping the file would lose acknowledged ones.
+  if (const std::string wal1 = path + ".wal1"; options.env->Exists(wal1)) {
+    return Status::FailedPrecondition(
+        "found " + wal1 +
+        ", a second WAL stream this build cannot recover; reopen and "
+        "close the database once with the build that wrote it");
+  }
   std::unique_ptr<Pager> pager(new Pager(std::move(path), options));
   BP_ASSIGN_OR_RETURN(pager->file_, options.env->Open(pager->path_));
 
   // Recovery runs regardless of the requested durability mode, so a
   // database left behind by a crash in EITHER mode opens correctly: a
   // hot journal from a crashed journal-mode commit is rolled back, then
-  // the mutually consistent committed prefix of any surviving write-
-  // ahead log streams is replayed. (The two files never coexist in
-  // practice — each mode retires its own log — but recovering both is
-  // cheap and makes mode switches safe.)
+  // the committed prefix of a surviving write-ahead log is replayed.
+  // (The two files never coexist in practice — each mode retires its
+  // own log — but recovering both is cheap and makes mode switches
+  // safe.)
   BP_RETURN_IF_ERROR(pager->RecoverFromJournal());
   BP_RETURN_IF_ERROR(pager->RecoverFromWal());
 
@@ -99,12 +103,11 @@ Result<std::unique_ptr<Pager>> Pager::Open(std::string path,
   }
   // The WAL fold may have replayed transactions that never dirtied the
   // header page, leaving the on-disk commit_seq behind the commits the
-  // database file now contains. Advance it so the streams created below
-  // carry the true base and freshly stamped commits never collide with
+  // database file now contains. Advance it so the log created below
+  // carries the true base and freshly stamped commits never collide with
   // replayed ones. (Durability of this patch is optional: if it is
-  // lost, the folded data is still ahead of the restarted counter and
-  // base_seq anchors recovery — sequence numbers are labels, the page
-  // images are the truth.)
+  // lost, recovery still folds the whole log — sequence numbers are
+  // labels, the page images are the truth.)
   if (pager->recovered_commit_seq_ > pager->commit_seq_) {
     pager->commit_seq_ = pager->recovered_commit_seq_;
     BP_RETURN_IF_ERROR(pager->file_->Write(0, pager->SerializedHeader()));
@@ -112,15 +115,9 @@ Result<std::unique_ptr<Pager>> Pager::Open(std::string path,
   pager->main_file_pages_ = pager->page_count_;
 
   if (pager->options_.durability == DurabilityMode::kWal) {
-    pager->write_domains_ = std::clamp<uint32_t>(
-        pager->options_.write_domains, 1, kMaxWriteDomains);
-    for (uint32_t d = 0; d < pager->write_domains_; ++d) {
-      BP_ASSIGN_OR_RETURN(
-          pager->domains_[d].wal,
-          wal::WalWriter::Open(options.env, pager->WalPath(d), d,
-                               pager->commit_seq_));
-      pager->domains_[d].last_commit_seq = pager->commit_seq_;
-    }
+    BP_ASSIGN_OR_RETURN(pager->wal_,
+                        wal::WalWriter::Open(options.env, pager->WalPath(),
+                                             pager->commit_seq_));
     // The shared versioned buffer pool serves the whole read path in
     // WAL mode. Journal mode gets none: it rewrites main-file pages in
     // place at every commit, which would stale main-file image keys
@@ -178,17 +175,13 @@ Pager::~Pager() {
            "all snapshots must be released before the pager closes");
   if (in_txn_) (void)Rollback();
   if (wal_mode()) {
-    // Clean close: make every commit durable, fold ALL streams into the
-    // database file, and retire them. The streams are only removed when
-    // the fold fully succeeded; on failure they stay behind as the sole
-    // copy of the committed pages, and the next Open replays them.
-    bool folded = Checkpoint().ok();  // Checkpoint syncs the logs first
-    for (auto& dom : domains_) dom.wal.reset();
-    if (folded) {
-      for (uint32_t d = 0; d < kMaxWriteDomains; ++d) {
-        (void)options_.env->Remove(WalPath(d));
-      }
-    }
+    // Clean close: make every commit durable, fold the log into the
+    // database file, and retire it. The log is only removed when the
+    // fold fully succeeded; on failure it stays behind as the sole copy
+    // of the committed pages, and the next Open replays it.
+    bool folded = Checkpoint().ok();  // Checkpoint syncs the log first
+    wal_.reset();
+    if (folded) (void)options_.env->Remove(WalPath());
   }
   // Give the shared pool its bytes back: this owner id is never reused,
   // so frames published under it are unreachable from here on — without
@@ -331,26 +324,12 @@ Status Pager::RecoverFromJournal() {
 }
 
 Status Pager::RecoverFromWal() {
-  // Probe EVERY possible stream path, not just the configured
-  // write_domains: the database may reopen with fewer domains than the
-  // run that crashed, and a stream it does not know about may hold the
-  // tail of the merged commit order.
-  std::vector<std::string> paths;
-  bool any = false;
-  for (uint32_t d = 0; d < kMaxWriteDomains; ++d) {
-    paths.push_back(WalPath(d));
-    if (options_.env->Exists(paths.back())) any = true;
-  }
-  if (!any) return Status::Ok();
-
-  // Fold the mutually consistent merged prefix that survived: per
-  // stream, torn tails — the transaction whose fsync never finished —
-  // are ignored by the reader; across streams, the merge stops at the
-  // first missing commit sequence (see Checkpointer::FoldStreams).
+  // Fold the committed prefix that survived: torn tails — the
+  // transaction whose fsync never finished — are ignored by the reader.
   BP_ASSIGN_OR_RETURN(
       wal::CheckpointResult folded,
-      wal::Checkpointer::FoldStreams(options_.env, file_.get(), paths,
-                                     options_.sync, options_.compression));
+      wal::Checkpointer::Fold(options_.env, file_.get(), WalPath(),
+                              options_.sync, options_.compression));
   if (folded.synced_db) {
     ++stats_.sync.fsyncs;
     stats_.sync.bytes_synced += folded.bytes_written;
@@ -359,110 +338,64 @@ Status Pager::RecoverFromWal() {
   stats_.compressed_bytes.Inc(folded.compressed_bytes);
   stats_.compressible_raw_bytes.Inc(folded.raw_bytes_replaced);
   recovered_commit_seq_ = folded.last_commit_seq;
-  // Idempotent up to here: a crash before (or between) these Removes
-  // just refolds on the next Open — the fold is already durable, so a
-  // re-read of the surviving streams merges to a prefix of what this
-  // fold wrote.
-  for (const auto& path : paths) {
-    if (options_.env->Exists(path)) {
-      BP_RETURN_IF_ERROR(options_.env->Remove(path));
-    }
-  }
-  return Status::Ok();
+  // Idempotent up to here: a crash before this Remove just refolds on
+  // the next Open — the fold is already durable.
+  if (!options_.env->Exists(WalPath())) return Status::Ok();
+  return options_.env->Remove(WalPath());
 }
 
-Status Pager::SyncDomainLocked(WalDomain& dom) {
-  if (dom.wal == nullptr) return Status::Ok();
+Status Pager::SyncLocked() {
+  // Sticky: see SyncWal. A failed fsync leaves its window pending, so
+  // unsynced_commits() never reads 0 again on this pager either.
+  if (!sync_error_.ok()) return sync_error_;
   // Snapshot the pending count first: the acquire pairs with the
-  // committing thread's release fetch_add, so the stream bytes those
+  // committing thread's release fetch_add, so the log bytes those
   // commits appended are visible to the Sync below. Commits that land
   // after this load stay pending for the next window.
   const uint32_t pending =
-      dom.unsynced_commits.load(std::memory_order_acquire);
+      unsynced_commits_.load(std::memory_order_acquire);
   if (pending == 0) return Status::Ok();
   // A window retiring >= 1 committed transaction is one group commit,
   // whether it filled to the ceiling or was closed early (FlushPending,
   // checkpoint, close). Counted even with sync=false so benches that
   // model fsync cost elsewhere still see the grouping behavior.
   ++stats_.sync.group_commits;
-  dom.stat_group_commits.fetch_add(1, std::memory_order_relaxed);
   if (group_commit_txns_ != nullptr) group_commit_txns_->Record(pending);
   if (!options_.sync) {
-    dom.unsynced_commits.fetch_sub(pending, std::memory_order_relaxed);
+    unsynced_commits_.fetch_sub(pending, std::memory_order_relaxed);
     return Status::Ok();
   }
-  uint64_t made_durable;
+  util::Result<uint64_t> synced = uint64_t{0};
   {
     obs::ScopedTimerUs timer(fsync_latency_us_);
-    // An fsync that starts while another stream's fsync is in flight is
-    // the overlap the domain split exists to create.
-    if (fsyncs_in_flight_.fetch_add(1, std::memory_order_relaxed) > 0) {
-      ++stats_.sync.fsync_overlaps;
-    }
-    util::Result<uint64_t> synced = dom.wal->Sync();
-    fsyncs_in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    BP_RETURN_IF_ERROR(synced.status());
-    made_durable = *synced;
+    synced = wal_->Sync();
   }
-  // Retire the window only once the fsync SUCCEEDED: a failed sync
-  // leaves the counter full, so the very next commit retries instead of
-  // accumulating another whole window of unsynced transactions.
+  if (!synced.ok()) {
+    sync_error_ = synced.status();
+    return sync_error_;
+  }
   // Subtract (not store 0): commits may have landed since the load.
-  dom.unsynced_commits.fetch_sub(pending, std::memory_order_relaxed);
-  if (made_durable > 0) {
+  unsynced_commits_.fetch_sub(pending, std::memory_order_relaxed);
+  if (*synced > 0) {
     ++stats_.sync.fsyncs;
-    stats_.sync.bytes_synced += made_durable;
-    dom.stat_fsyncs.fetch_add(1, std::memory_order_relaxed);
-    dom.stat_bytes_synced.fetch_add(made_durable,
-                                    std::memory_order_relaxed);
+    stats_.sync.bytes_synced += *synced;
+    stats_.sync.wal_bytes_synced += *synced;
   }
   return Status::Ok();
 }
 
 Status Pager::SyncWal() {
   if (!wal_mode()) return Status::Ok();
-  // Ack barrier: ALL domains, ascending id (see the lock-order note in
-  // the header) — an acked commit needs every earlier merged sequence
-  // durable too, and those may live on any stream.
-  {
-    util::MutexLock lock(domains_[0].mu);
-    BP_RETURN_IF_ERROR(SyncDomainLocked(domains_[0]));
-  }
-  {
-    util::MutexLock lock(domains_[1].mu);
-    BP_RETURN_IF_ERROR(SyncDomainLocked(domains_[1]));
-  }
-  return Status::Ok();
-}
-
-Status Pager::SyncWalDomain(WriteDomain domain) {
-  BP_REQUIRE(domain < kMaxWriteDomains, "invalid write domain");
-  if (!wal_mode()) return Status::Ok();
-  if (domain == 0) {
-    util::MutexLock lock(domains_[0].mu);
-    return SyncDomainLocked(domains_[0]);
-  }
-  util::MutexLock lock(domains_[1].mu);
-  return SyncDomainLocked(domains_[1]);
+  util::MutexLock lock(wal_mu_);
+  return SyncLocked();
 }
 
 Result<bool> Pager::FlushPending() {
+  // A failed fsync leaves its window pending (see SyncLocked), so the
+  // sticky error is never skipped by this early-out.
   if (!wal_mode() || unsynced_commits() == 0) return false;
   BP_RETURN_IF_ERROR(SyncWal());
   return true;
-}
-
-uint32_t Pager::unsynced_commits() const {
-  uint32_t total = 0;
-  for (const WalDomain& dom : domains_) {
-    total += dom.unsynced_commits.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint32_t Pager::unsynced_commits(WriteDomain domain) const {
-  BP_REQUIRE(domain < kMaxWriteDomains, "invalid write domain");
-  return domains_[domain].unsynced_commits.load(std::memory_order_relaxed);
 }
 
 Status Pager::Checkpoint() {
@@ -484,23 +417,18 @@ Status Pager::Checkpoint() {
   // otherwise flood the histogram with near-zero samples.
   obs::ScopedTimerUs timer(checkpoint_latency_us_);
   obs::ScopedSpan span("pager.checkpoint");
-  // Both domain mutexes, ascending id, held across sync + fold + reset:
-  // no stream may be fsynced (by the maintenance lane) or appended
-  // while its file is being folded and truncated.
-  util::MutexLock lock0(domains_[0].mu);
-  util::MutexLock lock1(domains_[1].mu);
-  // The logs must be durable before their pages land in the database
-  // file (log ahead of data): otherwise a crash could leave the
-  // database with pages from a transaction no log can prove committed.
-  BP_RETURN_IF_ERROR(SyncDomainLocked(domains_[0]));
-  BP_RETURN_IF_ERROR(SyncDomainLocked(domains_[1]));
-  std::vector<std::string> paths;
-  for (uint32_t d = 0; d < write_domains_; ++d) paths.push_back(WalPath(d));
+  // Held across sync + fold + reset: the log must not be fsynced from
+  // another thread while its file is being folded and truncated.
+  util::MutexLock wal_lock(wal_mu_);
+  // The log must be durable before its pages land in the database file
+  // (log ahead of data): otherwise a crash could leave the database
+  // with pages from a transaction the log cannot prove committed.
+  BP_RETURN_IF_ERROR(SyncLocked());
   // sync=false: the header patch below joins the fold under ONE fsync.
   BP_ASSIGN_OR_RETURN(
       wal::CheckpointResult folded,
-      wal::Checkpointer::FoldStreams(options_.env, file_.get(), paths,
-                                     /*sync=*/false, options_.compression));
+      wal::Checkpointer::Fold(options_.env, file_.get(), WalPath(),
+                              /*sync=*/false, options_.compression));
   stats_.compressed_pages.Inc(folded.pages_compressed);
   stats_.compressed_bytes.Inc(folded.compressed_bytes);
   stats_.compressible_raw_bytes.Inc(folded.raw_bytes_replaced);
@@ -516,17 +444,12 @@ Status Pager::Checkpoint() {
     }
     main_file_pages_ = std::max(main_file_pages_, folded.page_count);
   }
-  for (uint32_t d = 0; d < write_domains_; ++d) {
-    BP_RETURN_IF_ERROR(domains_[d].wal->ResetToHeader(commit_seq_));
-  }
+  BP_RETURN_IF_ERROR(wal_->ResetToHeader(commit_seq_));
   wal_index_.clear();
   stats_.checkpoints.Inc();
-  if (folded.ran) {
-    // The fold rewrote main-file pages and freed every stream's offsets
-    // for reuse: new generations, so no stale pool key can ever resolve.
-    ++main_generation_;
-    for (uint32_t d = 0; d < write_domains_; ++d) ++domains_[d].generation;
-  }
+  // The fold rewrote main-file pages and freed the log's offsets for
+  // reuse: a new generation, so no stale pool key can ever resolve.
+  if (folded.ran) ++generation_;
   PublishLocked(std::make_shared<std::unordered_map<PageId, uint64_t>>());
   return Status::Ok();
 }
@@ -536,11 +459,7 @@ Status Pager::MaybeCheckpoint() {
     // Deferred while snapshots are live; retried at the next commit.
     return Status::Ok();
   }
-  uint64_t total_bytes = 0;
-  for (uint32_t d = 0; d < write_domains_; ++d) {
-    total_bytes += domains_[d].wal->SizeBytes();
-  }
-  if (total_bytes < options_.wal_checkpoint_bytes) return Status::Ok();
+  if (wal_->SizeBytes() < options_.wal_checkpoint_bytes) return Status::Ok();
   Status folded = Checkpoint();
   if (folded.code() == util::StatusCode::kFailedPrecondition) {
     // A reader opened a snapshot between the check above and the
@@ -556,11 +475,7 @@ void Pager::PublishLocked(
   published_.page_count = page_count_;
   published_.catalog_root = catalog_root_;
   published_.main_file_pages = main_file_pages_;
-  published_.main_generation = main_generation_;
-  for (uint32_t d = 0; d < kMaxWriteDomains; ++d) {
-    published_.domain_commit_seq[d] = domains_[d].last_commit_seq;
-    published_.domain_generation[d] = domains_[d].generation;
-  }
+  published_.generation = generation_;
   if (index != nullptr) published_.wal_index = std::move(index);
 }
 
@@ -582,8 +497,8 @@ void Pager::PublishCommitDelta(
         std::make_shared<std::unordered_map<PageId, uint64_t>>(wal_index_));
     return;
   }
-  for (const auto& [id, slot] : offsets) {
-    (*published_.wal_index)[id] = slot;
+  for (const auto& [id, offset] : offsets) {
+    (*published_.wal_index)[id] = offset;
   }
   PublishLocked(nullptr);
 }
@@ -598,12 +513,10 @@ util::Result<std::unique_ptr<Snapshot>> Pager::BeginRead() {
   std::unique_ptr<Snapshot> snap(new Snapshot());
   snap->pager_ = this;
   snap->commit_seq_ = published_.commit_seq;
-  snap->domain_commit_seq_ = published_.domain_commit_seq;
   snap->page_count_ = published_.page_count;
   snap->catalog_root_ = published_.catalog_root;
   snap->main_file_pages_ = published_.main_file_pages;
-  snap->main_generation_ = published_.main_generation;
-  snap->domain_generation_ = published_.domain_generation;
+  snap->generation_ = published_.generation;
   snap->wal_index_ = published_.wal_index;
   snap->pool_ = pool_;
   snap->pool_owner_ = pool_owner_;
@@ -627,14 +540,9 @@ void Pager::ReleaseSnapshot(const SnapshotStats& final_stats) {
   retired_snapshot_stats_.decompress_reads += final_stats.decompress_reads;
 }
 
-Status Pager::Begin(WriteDomain domain) {
+Status Pager::Begin() {
   BP_REQUIRE(!in_txn_, "nested transactions are not supported");
   in_txn_ = true;
-  // Clamp instead of reject: a caller built for 2 domains keeps working
-  // against a 1-domain (or journal-mode) pager, it just shares the
-  // stream.
-  txn_domain_ =
-      wal_mode() ? std::min(domain, write_domains_ - 1) : kGraphDomain;
   before_images_.clear();
   fresh_pages_.clear();
   txn_orig_page_count_ = page_count_;
@@ -677,30 +585,22 @@ Status Pager::Commit() {
 
   // Make the new commit visible to BeginRead: the log write above
   // happens-before the publication, so a snapshot that observes this
-  // commit_seq can read every frame slot its index names.
+  // commit_seq can read every frame offset its index names.
   if (options_.durability == DurabilityMode::kWal) {
     PublishCommitDelta(last_commit_offsets_);
   }
 
   // Group commit: the transaction is fully retired above BEFORE the
   // fsync is attempted, because once its commit frame is in the log it
-  // IS committed — a sync failure here means durability is not yet
-  // guaranteed (the caller may retry SyncWal), never that the commit
-  // can be rolled back. Flushing inside CommitViaWal would let an
-  // fsync error leave in_txn_ set and a later Rollback tear cached
-  // pages away from the log's committed images.
-  //
-  // Only THIS transaction's stream is synced (its window filled); a
-  // full window on one domain never drags the other domain's device
-  // into the wait. This is not an ack — callers that promise
-  // durability go through SyncWal/FlushPending, which sync all
-  // domains so no earlier merged sequence can be lost under an acked
-  // one.
-  if (options_.durability == DurabilityMode::kWal &&
-      unsynced_commits(txn_domain_) >= options_.wal_group_commit) {
-    BP_RETURN_IF_ERROR(SyncWalDomain(txn_domain_));
+  // IS committed — a sync failure here means durability is not
+  // guaranteed (and, the error being sticky, never will be on this
+  // pager), never that the commit can be rolled back. Flushing inside
+  // CommitViaWal would let an fsync error leave in_txn_ set and a later
+  // Rollback tear cached pages away from the log's committed images.
+  if (wal_mode() && unsynced_commits() >= options_.wal_group_commit) {
+    BP_RETURN_IF_ERROR(SyncWal());
   }
-  // Fold the logs into the main file if they crossed the size threshold.
+  // Fold the log into the main file if it crossed the size threshold.
   return MaybeCheckpoint();
 }
 
@@ -762,11 +662,10 @@ Status Pager::CommitViaJournal(const std::vector<internal::Frame*>& dirty) {
 }
 
 Status Pager::CommitViaWal(const std::vector<internal::Frame*>& dirty) {
-  WalDomain& dom = domains_[txn_domain_];
   ++commit_seq_;
   // One page-image frame per dirty page, then the commit frame, appended
-  // to the transaction's domain stream in a single sequential write.
-  // The database file is not touched; that is the checkpointer's job.
+  // to the log in a single sequential write. The database file is not
+  // touched; that is the checkpointer's job.
   std::vector<std::pair<PageId, uint64_t>>& offsets =
       last_commit_offsets_;  // kept for PublishCommitDelta
   offsets.clear();
@@ -778,34 +677,29 @@ Status Pager::CommitViaWal(const std::vector<internal::Frame*>& dirty) {
       std::string header = SerializedHeader();
       std::copy(header.begin(), header.end(), frame->data.data());
     }
-    offsets.emplace_back(
-        frame->id,
-        MakeWalSlot(txn_domain_, dom.wal->AddPage(frame->id, frame->data)));
+    offsets.emplace_back(frame->id, wal_->AddPage(frame->id, frame->data));
   }
-  Status appended = dom.wal->CommitTxn(commit_seq_, page_count_);
+  Status appended = wal_->CommitTxn(commit_seq_, page_count_);
   if (!appended.ok()) {
-    dom.wal->AbandonTxn();
+    wal_->AbandonTxn();
     --commit_seq_;
     return appended;
   }
-  dom.last_commit_seq = commit_seq_;
-  for (const auto& [id, slot] : offsets) wal_index_[id] = slot;
+  for (const auto& [id, offset] : offsets) wal_index_[id] = offset;
   stats_.wal_frames.Inc(dirty.size());
   stats_.pages_written.Inc(dirty.size());
-  dom.stat_commits.fetch_add(1, std::memory_order_relaxed);
-  dom.stat_wal_frames.fetch_add(dirty.size(), std::memory_order_relaxed);
-  // Release: pairs with the acquire load in SyncDomainLocked — a sync
+  // Release: pairs with the acquire load in SyncLocked — a sync
   // (possibly on another thread) that observes this commit as pending
   // also observes its appended bytes.
-  dom.unsynced_commits.fetch_add(1, std::memory_order_release);
+  unsynced_commits_.fetch_add(1, std::memory_order_release);
   // Publish the freshly committed images into the shared pool, so
   // snapshot readers (and repeated one-shot queries) hit hot pages —
   // tree roots, the catalog — without ever touching the log.
   // `offsets` and `dirty` are index-aligned (built by the same loop).
   if (pool_ != nullptr && options_.pool_publish_on_commit) {
     for (size_t i = 0; i < dirty.size(); ++i) {
-      PublishToPool(PageImageKey{pool_owner_, offsets[i].first,
-                                 dom.generation, offsets[i].second},
+      PublishToPool(PageImageKey{pool_owner_, offsets[i].first, generation_,
+                                 offsets[i].second},
                     std::string(dirty[i]->data));
     }
   }
@@ -884,12 +778,10 @@ Result<internal::Frame*> Pager::FetchFrame(PageId id) {
     // No stats_.pages_read: the pool hit (counted in pool stats) saved
     // the storage read.
   } else if (auto wal_hit = wal_index_.find(id); wal_hit != wal_index_.end()) {
-    // Latest committed version lives in a write-ahead log stream (the
-    // page was evicted after a WAL commit and not yet checkpointed);
-    // the slot names the stream and the offset within it.
-    const uint64_t slot = wal_hit->second;
-    BP_RETURN_IF_ERROR(domains_[SlotStream(slot)].wal->ReadPayload(
-        SlotOffset(slot), kPageSize, &frame->data));
+    // Latest committed version lives in the write-ahead log (the page
+    // was evicted after a WAL commit and not yet checkpointed).
+    BP_RETURN_IF_ERROR(
+        wal_->ReadPayload(wal_hit->second, kPageSize, &frame->data));
     stats_.pages_read.Inc();
   } else if (id < main_file_pages_) {
     BP_RETURN_IF_ERROR(
@@ -1070,17 +962,12 @@ bool Pager::CommittedImageKey(PageId id, PageImageKey* key) const {
   if (pool_ == nullptr) return false;  // also covers journal mode
   key->owner = pool_owner_;
   key->id = id;
+  key->generation = generation_;
   if (auto it = wal_index_.find(id); it != wal_index_.end()) {
-    // The offset field carries the full slot, so images of the same
-    // page in different streams can never alias; the generation is the
-    // owning STREAM's (its offsets are what checkpoint truncation
-    // recycles).
-    key->generation = domains_[SlotStream(it->second)].generation;
     key->offset = it->second;
     return true;
   }
   if (id < main_file_pages_) {
-    key->generation = main_generation_;
     key->offset = kMainFileImage;
     return true;
   }
@@ -1093,21 +980,11 @@ void Pager::PublishToPool(const PageImageKey& key, std::string&& image) {
 }
 
 DomainStats Pager::domain_stats(WriteDomain domain) const {
-  BP_REQUIRE(domain < kMaxWriteDomains, "invalid write domain");
-  const WalDomain& dom = domains_[domain];
   DomainStats out;
-  out.commits = dom.stat_commits.load(std::memory_order_relaxed);
-  out.wal_frames = dom.stat_wal_frames.load(std::memory_order_relaxed);
-  out.fsyncs = dom.stat_fsyncs.load(std::memory_order_relaxed);
-  out.bytes_synced = dom.stat_bytes_synced.load(std::memory_order_relaxed);
-  out.group_commits =
-      dom.stat_group_commits.load(std::memory_order_relaxed);
-  if (dom.wal != nullptr) out.wal_bytes = dom.wal->committed_bytes();
-  {
-    // The published copy, not dom.last_commit_seq: that member belongs
-    // to the writer thread.
-    util::MutexLock lock(commit_mu_);
-    out.last_commit_seq = published_.domain_commit_seq[domain];
+  if (domain == kGraphDomain) {
+    out.commits = stats_.commits.load();
+    out.bytes_synced =
+        stats_.sync.wal_bytes_synced.load(std::memory_order_relaxed);
   }
   return out;
 }
@@ -1129,8 +1006,6 @@ PagerStats Pager::stats() const {
   out.bytes_synced = stats_.sync.bytes_synced.load(std::memory_order_relaxed);
   out.group_commits =
       stats_.sync.group_commits.load(std::memory_order_relaxed);
-  out.fsync_overlaps =
-      stats_.sync.fsync_overlaps.load(std::memory_order_relaxed);
   out.compressed_pages = stats_.compressed_pages.load();
   out.compressed_bytes = stats_.compressed_bytes.load();
   out.compressible_raw_bytes = stats_.compressible_raw_bytes.load();
@@ -1186,9 +1061,6 @@ void Pager::CollectMetrics(obs::CollectionSink& sink) const {
   counter("bp_pager_checkpoints", "WAL checkpoints folded", s.checkpoints);
   counter("bp_pager_group_commits", "Group-commit windows closed",
           s.group_commits);
-  counter("bp_pager_fsync_overlaps",
-          "Stream fsyncs that overlapped another stream's fsync",
-          s.fsync_overlaps);
   counter("bp_snapshot_pages_read",
           "Snapshot reads served from log/database file",
           s.snapshot_pages_read);
@@ -1230,35 +1102,6 @@ void Pager::CollectMetrics(obs::CollectionSink& sink) const {
           s.pool_cold_bytes);
     gauge("bp_pool_cold_frames", "Resident cold-tier frames",
           s.pool_cold_frames);
-  }
-  if (wal_mode()) {
-    for (uint32_t d = 0; d < write_domains_; ++d) {
-      const DomainStats ds = domain_stats(d);
-      const std::string dlabels =
-          "db=\"" + path_ + "\",domain=\"" + std::to_string(d) + "\"";
-      auto dcounter = [&](const char* name, const char* help, uint64_t v) {
-        sink.Counter(name, dlabels, help, static_cast<double>(v));
-      };
-      dcounter("bp_pager_domain_commits",
-               "Transactions committed to this domain's WAL stream",
-               ds.commits);
-      dcounter("bp_pager_domain_wal_frames",
-               "Page images appended to this domain's WAL stream",
-               ds.wal_frames);
-      dcounter("bp_pager_domain_wal_bytes",
-               "Committed bytes in this domain's WAL stream", ds.wal_bytes);
-      dcounter("bp_pager_domain_fsyncs",
-               "fsyncs issued on this domain's WAL stream", ds.fsyncs);
-      dcounter("bp_pager_domain_bytes_synced",
-               "Bytes made durable on this domain's WAL stream",
-               ds.bytes_synced);
-      dcounter("bp_pager_domain_group_commits",
-               "Group-commit windows closed on this domain's WAL stream",
-               ds.group_commits);
-      sink.Gauge("bp_pager_domain_last_commit_seq", dlabels,
-                 "Newest merged commit sequence on this domain's stream",
-                 static_cast<double>(ds.last_commit_seq));
-    }
   }
 }
 

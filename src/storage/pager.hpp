@@ -17,39 +17,25 @@
 //   3. Rollback: restore before-images in cache; nothing reached the file.
 //
 // kWal (write-ahead log; 1 fsync per commit, or per GROUP of commits):
-//   1. Commit appends the dirty pages plus a commit record to the log
-//      stream of the transaction's WRITE DOMAIN (see below) in one
-//      sequential write (see wal/wal_format.hpp) and fsyncs that
-//      stream — the database file is not touched at all. With
-//      wal_group_commit = N, the fsync is deferred until N transactions
-//      have committed on that stream, so N commits share one fsync; a
+//   1. Commit appends the dirty pages plus a commit record to the one
+//      log stream, <path>.wal, in one sequential write (see
+//      wal/wal_format.hpp); the database file is not touched at all.
+//      With wal_group_commit = N, the fsync is deferred until N
+//      transactions have committed, so N commits share one fsync; a
 //      crash may lose the tail of not-yet-synced transactions but
 //      always recovers a consistent committed prefix (each transaction
-//      stays atomic).
+//      stays atomic). A commit is acknowledged durable only once an
+//      fsync of <path>.wal covering it succeeded (SyncWal,
+//      FlushPending); the first failed log fsync is sticky, so nothing
+//      is acknowledged after it until the database is reopened.
 //   2. Reads hit the page cache; on a miss the latest committed version
-//      is fetched from the owning log stream (wal_index_) or, failing
-//      that, the database file.
-//   3. A checkpoint — when the logs cross wal_checkpoint_bytes in
-//      total, and at clean close — folds the latest committed pages of
-//      EVERY stream back into the database file in merged commit-
-//      sequence order, fsyncs it, and truncates the logs. Pager::Open
-//      replays whatever committed prefix of each stream survives a
-//      crash and intersects them to the highest mutually consistent
-//      merged sequence (see wal/checkpointer.hpp).
-//
-// WRITE DOMAINS (kWal only): the write path is partitioned into up to
-// kMaxWriteDomains domains — kGraphDomain (graph/prov/places B-trees)
-// and kTextDomain (the lazily-refreshed text index) — each owning its
-// own WAL stream, group-commit window, and fsync clock. Transactions
-// are still serialized (single writer), and all domains share one page
-// space, freelist, and catalog; what parallelizes is DURABILITY: two
-// threads may fsync two streams concurrently (the ingest committer on
-// the graph stream, the index-maintenance lane on the text stream), so
-// neither waits behind the other's device latency. One database-wide
-// commit clock (commit_seq_) stamps every commit, so the union of the
-// streams is a single total order; snapshots pin a VECTOR of per-domain
-// commit sequences (Snapshot::domain_commit_seq) alongside the merged
-// one.
+//      is fetched from the log (wal_index_) or, failing that, the
+//      database file.
+//   3. A checkpoint — when the log crosses wal_checkpoint_bytes, and at
+//      clean close — syncs the log, folds its latest committed pages
+//      back into the database file, fsyncs it, and truncates the log.
+//      Pager::Open folds whatever committed prefix of the log survives
+//      a crash (see wal/checkpointer.hpp).
 //
 // Pick kRollbackJournal for read-mostly workloads with rare, large
 // transactions; pick kWal for sustained bursty ingest (the browser
@@ -62,25 +48,22 @@
 // entry point (Begin/Commit/Rollback, GetMutable, Allocate, Free,
 // Checkpoint) and the live read path (Get) belong to ONE writer thread
 // at a time (serialized one layer up). The sync-only entry points
-// (SyncWal, FlushPending, SyncWalDomain) may additionally be called
-// from a non-writer thread — each stream's fsync state is serialized by
-// its domain mutex, and the WalWriter publishes committed bytes
-// atomically (see wal/wal_writer.hpp). Concurrent reads go through
-// BeginRead() (kWal only), which returns a Snapshot — an immutable view
-// of the committed state at a commit sequence number (see
-// storage/snapshot.hpp). Snapshots are safe against a concurrently
-// committing writer: commits only append to the logs, and checkpointing
-// (the one operation that rewrites bytes a snapshot may still need) is
-// DEFERRED while any snapshot is live. All snapshots must be released
-// before the pager closes.
+// (SyncWal, FlushPending) may additionally be called from a non-writer
+// thread — the log's fsync state is serialized by wal_mu_, and the
+// WalWriter publishes committed bytes atomically (see
+// wal/wal_writer.hpp). Concurrent reads go through BeginRead() (kWal
+// only), which returns a Snapshot — an immutable view of the committed
+// state at a commit sequence number (see storage/snapshot.hpp).
+// Snapshots are safe against a concurrently committing writer: commits
+// only append to the log, and checkpointing (the one operation that
+// rewrites bytes a snapshot may still need) is DEFERRED while any
+// snapshot is live. All snapshots must be released before the pager
+// closes.
 //
-// LOCK ORDER: commit_mu_ -> domains_[0].mu -> domains_[1].mu (domain
-// mutexes by ascending id; commit_mu_ first when both are needed —
-// enforced by BP_ACQUIRED_BEFORE on commit_mu_). Never acquire
-// commit_mu_ while holding a domain mutex.
+// LOCK ORDER: commit_mu_ -> wal_mu_ (enforced by BP_ACQUIRED_BEFORE on
+// commit_mu_). Never acquire commit_mu_ while holding wal_mu_.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -110,29 +93,8 @@ namespace bp::storage {
 
 enum class DurabilityMode {
   kRollbackJournal,  // before-images to <path>.journal; 2 fsyncs/commit
-  kWal,              // redo log to <path>.wal[N]; <= 1 fsync/commit
+  kWal,              // redo log to <path>.wal; <= 1 fsync/commit
 };
-
-// A write domain names the WAL stream a transaction commits to (kWal
-// only; see the file header). Domain 0 is the default for every
-// transaction that does not ask otherwise.
-using WriteDomain = uint32_t;
-inline constexpr WriteDomain kGraphDomain = 0;  // graph/prov/places
-inline constexpr WriteDomain kTextDomain = 1;   // inverted text index
-inline constexpr uint32_t kMaxWriteDomains = 2;
-
-// wal_index_ slot encoding: stream id in the top byte, log offset in
-// the low 56 bits. kMainFileImage (all ones) can never collide with a
-// real slot — it would need stream 255 at the maximum offset.
-inline constexpr uint64_t MakeWalSlot(WriteDomain stream, uint64_t offset) {
-  return (uint64_t{stream} << 56) | offset;
-}
-inline constexpr WriteDomain SlotStream(uint64_t slot) {
-  return static_cast<WriteDomain>(slot >> 56);
-}
-inline constexpr uint64_t SlotOffset(uint64_t slot) {
-  return slot & ((uint64_t{1} << 56) - 1);
-}
 
 struct PagerOptions {
   Env* env = Env::Posix();
@@ -143,21 +105,15 @@ struct PagerOptions {
   bool sync = true;
   DurabilityMode durability = DurabilityMode::kRollbackJournal;
   // kWal only: CEILING on the number of committed transactions that
-  // share one log fsync, per domain stream. 1 = every commit is durable
-  // on return; N > 1 trades a bounded durability lag (never
-  // consistency) for up to N× fewer fsyncs. Commit fsyncs when the
-  // window fills; a caller that knows the write stream went idle closes
-  // a partial window early with FlushPending() (the async ingest
-  // committer's adaptive group commit).
+  // share one log fsync. 1 = every commit is durable on return; N > 1
+  // trades a bounded durability lag (never consistency) for up to N×
+  // fewer fsyncs. Commit fsyncs when the window fills; a caller that
+  // knows the write stream went idle closes a partial window early with
+  // FlushPending() (the async ingest committer's adaptive group commit).
   uint32_t wal_group_commit = 1;
-  // kWal only: checkpoint (fold all log streams into the database file)
-  // once the streams exceed this size in total.
+  // kWal only: checkpoint (fold the log into the database file) once
+  // the log exceeds this size.
   uint64_t wal_checkpoint_bytes = 4 << 20;
-  // kWal only: number of write domains (clamped to
-  // [1, kMaxWriteDomains]). 1 keeps the classic single-stream layout;
-  // 2 gives the text index its own stream so index-maintenance fsyncs
-  // overlap ingest fsyncs. Journal mode always behaves as 1.
-  uint32_t write_domains = 1;
   // Byte budget of the versioned buffer pool the read path shares (all
   // snapshots + the live pager; see storage/buffer_pool.hpp). Replaces
   // the per-snapshot soft caps. 0 disables the pool: snapshots fall
@@ -213,9 +169,8 @@ struct PagerStats {
   // at checkpoint/close. fsyncs / group_commits is the amortization the
   // window actually achieved.
   uint64_t group_commits = 0;
-  // Stream fsyncs that started while another stream's fsync was still
-  // in flight — the overlap the write-domain split exists to create.
-  // Always 0 with one domain.
+  // Always 0: compatibility stub for perfbench/src/harness.cpp (see
+  // DomainStats below). Remove with the next benchmark change.
   uint64_t fsync_overlaps = 0;
   // Shared buffer pool, aggregated over every consumer of the pool this
   // pager belongs to (snapshots, the live read path, and — when
@@ -254,15 +209,17 @@ struct PagerStats {
   uint64_t snapshot_pool_hits = 0;
 };
 
-// Per-write-domain counters (kWal only; all zero for inactive domains).
+// Compatibility stub for perfbench/src/harness.cpp, which was written
+// against a two-stream WAL and reads Pager::domain_stats(d) for
+// d in {kGraphDomain, kTextDomain}. The WAL has one stream: domain 0
+// reports it and domain 1 reads 0. Nothing in src/, tests/ or bench/
+// uses these names; remove them with the next benchmark change.
+using WriteDomain = uint32_t;
+inline constexpr WriteDomain kGraphDomain = 0;
+inline constexpr WriteDomain kTextDomain = 1;
 struct DomainStats {
-  uint64_t commits = 0;          // transactions committed to this stream
-  uint64_t wal_frames = 0;       // page images appended to this stream
-  uint64_t wal_bytes = 0;        // committed stream bytes (incl. header)
-  uint64_t fsyncs = 0;           // fsyncs issued on this stream
-  uint64_t bytes_synced = 0;     // bytes those fsyncs made durable
-  uint64_t group_commits = 0;    // group-commit windows closed
-  uint64_t last_commit_seq = 0;  // newest merged seq on this stream
+  uint64_t commits = 0;       // transactions committed
+  uint64_t bytes_synced = 0;  // log bytes made durable by fsync
 };
 
 class Pager;
@@ -317,11 +274,7 @@ class Pager {
   Pager& operator=(const Pager&) = delete;
 
   // --- transactions -------------------------------------------------
-  // `domain` routes the transaction's commit to that domain's WAL
-  // stream (clamped to the configured write_domains; journal mode
-  // ignores it). The domain changes which stream pays the fsync, never
-  // what the transaction may touch: all domains share one page space.
-  util::Status Begin(WriteDomain domain = kGraphDomain);
+  util::Status Begin();
   util::Status Commit();
   util::Status Rollback();
   bool InTransaction() const { return in_txn_; }
@@ -348,12 +301,8 @@ class Pager {
   // fields — one coherent set for benches and facade reporting.
   PagerStats stats() const BP_EXCLUDES(commit_mu_);
 
-  // Per-domain counters (all zero for inactive domains / journal mode).
-  // Thread-safe.
+  // Compatibility stub for perfbench (see DomainStats). Thread-safe.
   DomainStats domain_stats(WriteDomain domain) const;
-
-  // Number of active write domains (1 in journal mode).
-  uint32_t write_domains() const { return write_domains_; }
 
   // The shared versioned buffer pool (null when pool_bytes was 0 and no
   // pool was injected). Snapshots resolve through it; several pagers
@@ -385,57 +334,53 @@ class Pager {
     crash_after_journal_ = v;
   }
 
-  // kWal only: makes every commit on EVERY domain stream durable
-  // (flushes partially filled group-commit windows). This is the
-  // acknowledgment barrier: an acked commit requires every EARLIER
-  // merged sequence durable too — recovery truncates at the first gap —
-  // so ack paths always sync all domains. No-op in journal mode or when
-  // nothing is pending. Safe from a non-writer thread.
-  util::Status SyncWal();
+  // kWal only: makes every commit so far durable (fsyncs <path>.wal,
+  // closing a partially filled group-commit window). This is the
+  // acknowledgment barrier. No-op in journal mode or when nothing is
+  // pending. Once a log fsync has failed, this and every later window
+  // sync, FlushPending and Checkpoint return that first error: the
+  // kernel may have dropped the pages the failed fsync was writing, so
+  // a later successful fsync proves nothing about them. Only a reopen
+  // (recovering from what the log really holds) clears it. Safe from a
+  // non-writer thread.
+  util::Status SyncWal() BP_EXCLUDES(wal_mu_);
 
-  // kWal only: makes commits on ONE domain stream durable. This is the
-  // non-ack window sync (the index-maintenance lane flushing its own
-  // stream); it must not be used to acknowledge durability to a caller
-  // — see SyncWal. Safe from a non-writer thread.
-  util::Status SyncWalDomain(WriteDomain domain);
-
-  // Adaptive group-commit hook: closes partially filled windows ONLY
+  // Adaptive group-commit hook: closes a partially filled window ONLY
   // when committed transactions are actually awaiting fsync, and says
   // so. The async ingest committer calls this whenever its queue runs
   // dry, which collapses tail latency at low event rates while the
   // wal_group_commit ceiling still amortizes fsyncs under load. Returns
-  // whether a flush ran (false: journal mode or nothing pending).
-  // Syncs ALL domains (it is an ack path, like SyncWal).
-  util::Result<bool> FlushPending();
+  // whether a flush ran (false: journal mode or nothing pending), or
+  // the sticky sync error (see SyncWal).
+  util::Result<bool> FlushPending() BP_EXCLUDES(wal_mu_);
 
-  // Committed transactions whose log records await the next fsync,
-  // totaled across domains (always 0 in journal mode, where every
-  // commit is durable on return). Thread-safe.
-  uint32_t unsynced_commits() const;
-  // Same, for one domain. Thread-safe.
-  uint32_t unsynced_commits(WriteDomain domain) const;
+  // Committed transactions whose log records await the next fsync
+  // (always 0 in journal mode, where every commit is durable on
+  // return). Thread-safe.
+  uint32_t unsynced_commits() const {
+    return unsynced_commits_.load(std::memory_order_relaxed);
+  }
 
   // kWal only: forces a checkpoint now (normally driven by
-  // wal_checkpoint_bytes and clean close). Folds ALL domain streams in
-  // merged commit-sequence order. FailedPrecondition when a
-  // transaction is open or live snapshots still pin WAL frames.
-  util::Status Checkpoint() BP_EXCLUDES(commit_mu_);
+  // wal_checkpoint_bytes and clean close). FailedPrecondition when a
+  // transaction is open or live snapshots still pin WAL frames; the
+  // sticky sync error after a failed log fsync (see SyncWal).
+  util::Status Checkpoint() BP_EXCLUDES(commit_mu_, wal_mu_);
 
   DurabilityMode durability() const { return options_.durability; }
 
   // --- snapshots (read transactions) ---------------------------------
   //
-  // Freezes the committed state as of now — the merged commit sequence
-  // number, the per-domain commit-sequence vector, page count, catalog
-  // root, and the stream slots of every committed page still living in
-  // a write-ahead log — into an immutable view that any number of
-  // reader threads can read while this (single-writer) pager keeps
-  // committing. kWal only: the logs are the device that makes
-  // committed history immutable; journal mode rewrites the database
-  // file in place at every commit and returns FailedPrecondition.
-  // Thread-safe (may be called off the writer thread). While snapshots
-  // are live, checkpoints are deferred and the logs grow; release
-  // snapshots promptly under sustained ingest.
+  // Freezes the committed state as of now — the commit sequence
+  // number, page count, catalog root, and the log offsets of every
+  // committed page still living in the write-ahead log — into an
+  // immutable view that any number of reader threads can read while
+  // this (single-writer) pager keeps committing. kWal only: the log is
+  // the device that makes committed history immutable; journal mode
+  // rewrites the database file in place at every commit and returns
+  // FailedPrecondition. Thread-safe (may be called off the writer
+  // thread). While snapshots are live, checkpoints are deferred and the
+  // log grows; release snapshots promptly under sustained ingest.
   util::Result<std::unique_ptr<Snapshot>> BeginRead() BP_EXCLUDES(commit_mu_);
 
   // Snapshots currently alive (they pin WAL frames and defer
@@ -450,47 +395,15 @@ class Pager {
   // incomplete type here.
   Pager(std::string path, PagerOptions options);
 
-  // One write domain's stream state (see the file header). The mutex
-  // serializes fsyncs of the stream against each other and against
-  // checkpoint truncation; appends are serialized one layer up by the
-  // single-writer contract and hand off to a (possibly different)
-  // syncing thread through WalWriter's atomic committed-bytes.
-  // LOCK ORDER: commit_mu_ before any domain mutex; domain mutexes by
-  // ascending id (see BP_ACQUIRED_BEFORE on commit_mu_).
-  struct WalDomain {
-    std::unique_ptr<wal::WalWriter> wal;  // null: domain inactive
-    util::Mutex mu;
-    // Committed transactions on this stream not yet fsynced. Released
-    // by the committing thread after the stream append, acquired by the
-    // syncing thread before it snapshots committed bytes — so a sync
-    // that observes N pending commits observes their appended bytes.
-    std::atomic<uint32_t> unsynced_commits{0};
-    // Newest merged commit sequence on this stream (writer thread;
-    // published under commit_mu_ for snapshots).
-    uint64_t last_commit_seq = 0;
-    // Pool image-key generation for this stream's WAL offsets; bumped
-    // when a checkpoint truncates the stream (offset reuse). Writer
-    // thread; snapshots read the published copy.
-    uint32_t generation = 0;
-    // Per-domain counters (see DomainStats). fetch_add: the fsync-side
-    // ones are bumped from whichever thread syncs the stream.
-    std::atomic<uint64_t> stat_commits{0};
-    std::atomic<uint64_t> stat_wal_frames{0};
-    std::atomic<uint64_t> stat_fsyncs{0};
-    std::atomic<uint64_t> stat_bytes_synced{0};
-    std::atomic<uint64_t> stat_group_commits{0};
-  };
-
-  // True when the pager runs in WAL mode (domain 0 always owns a
-  // stream then).
-  bool wal_mode() const { return domains_[0].wal != nullptr; }
+  // True when the pager runs in WAL mode.
+  bool wal_mode() const { return wal_ != nullptr; }
 
   // Publish the current committed state into published_ under
   // commit_mu_ so BeginRead (any thread) sees either the pre- or
   // post-commit state, never a torn mix. Writer thread only.
   // PublishCommittedState rebuilds the published WAL index from
   // scratch (Open, checkpoint); PublishCommitDelta applies just one
-  // commit's page slots, copying the map only when a live snapshot
+  // commit's page offsets, copying the map only when a live snapshot
   // still shares it — so commits without snapshot pressure publish in
   // O(dirty pages), not O(index).
   void PublishCommittedState() BP_EXCLUDES(commit_mu_);
@@ -516,16 +429,11 @@ class Pager {
   util::Status CommitViaWal(const std::vector<internal::Frame*>& dirty);
   util::Status MaybeCheckpoint();
   std::string JournalPath() const { return path_ + ".journal"; }
-  // Stream 0 keeps the classic <path>.wal name; stream N is <path>.walN.
-  std::string WalPath(WriteDomain domain = 0) const {
-    return domain == 0 ? path_ + ".wal"
-                       : path_ + ".wal" + std::to_string(domain);
-  }
+  std::string WalPath() const { return path_ + ".wal"; }
 
-  // Fsyncs one stream's committed-but-unsynced transactions; the
-  // caller holds that domain's mutex (checked for the WalDomain& it
-  // passes).
-  util::Status SyncDomainLocked(WalDomain& dom) BP_REQUIRES(dom.mu);
+  // Fsyncs the log's committed-but-unsynced transactions, or returns
+  // the sticky error of an earlier failed fsync (see SyncWal).
+  util::Status SyncLocked() BP_REQUIRES(wal_mu_);
 
   util::Result<internal::Frame*> FetchFrame(PageId id);
   void JournalBeforeImage(internal::Frame& frame);
@@ -538,7 +446,7 @@ class Pager {
 
   // --- buffer pool (WAL mode; writer thread only) --------------------
   // The image key of `id`'s latest COMMITTED image, resolvable by any
-  // reader: stream slot when the image lives in a log, main-file key
+  // reader: log offset when the image lives in the log, main-file key
   // when checkpointed. false when the page has no committed image yet
   // (allocated this transaction) or the pool is off.
   bool CommittedImageKey(PageId id, PageImageKey* key) const;
@@ -546,8 +454,7 @@ class Pager {
   void PublishToPool(const PageImageKey& key, std::string&& image);
 
   // Registry collector body: exports stats() as bp_pager_* / bp_pool_* /
-  // bp_snapshot_* samples labeled with this pager's database path, plus
-  // per-domain bp_pager_domain_* samples labeled with domain="N".
+  // bp_snapshot_* samples labeled with this pager's database path.
   void CollectMetrics(obs::CollectionSink& sink) const;
 
   std::string path_;
@@ -564,12 +471,11 @@ class Pager {
   // main-file image keys mid-generation.
   std::shared_ptr<BufferPool> pool_;
   uint32_t pool_owner_ = 0;
-  // Checkpoint generation for MAIN-FILE image keys: bumped by every
-  // checkpoint that folded pages (the only operation that rewrites the
-  // main database file in WAL mode). WAL-resident keys use the owning
-  // domain's generation instead (WalDomain::generation). Writer
-  // thread; snapshots read the published copies.
-  uint32_t main_generation_ = 0;
+  // Checkpoint generation of pool image keys: bumped by every
+  // checkpoint that folded pages, which rewrites main-file pages and
+  // frees the log's offsets for reuse, so no stale key can resolve.
+  // Writer thread; snapshots read the published copy.
+  uint32_t generation_ = 0;
 
   // Cached header fields (persisted in page 0).
   uint32_t page_count_ = 0;
@@ -580,7 +486,6 @@ class Pager {
 
   // Transaction state.
   bool in_txn_ = false;
-  WriteDomain txn_domain_ = kGraphDomain;
   // Before-images of pre-existing pages dirtied in this transaction.
   std::unordered_map<PageId, std::string> before_images_;
   // Pages allocated in this transaction (no before-image; rollback drops).
@@ -589,28 +494,32 @@ class Pager {
   // Pages physically valid in the main database file. In journal mode
   // this tracks page_count_ at the last commit; in WAL mode it only
   // advances at checkpoints — committed pages beyond it live in the
-  // logs and are fetched through wal_index_.
+  // log and are fetched through wal_index_.
   uint32_t main_file_pages_ = 0;
 
   // --- WAL state (kWal mode only) ------------------------------------
-  // Active domain count (1..kMaxWriteDomains; 1 in journal mode).
-  uint32_t write_domains_ = 1;
-  // Domain streams, indexed by WriteDomain. Inactive domains have a
-  // null writer but a valid (never contended) mutex, so lock-order
-  // code can treat the array uniformly.
-  WalDomain domains_[kMaxWriteDomains];
-  // page id -> slot (stream | offset, see MakeWalSlot) of its latest
-  // committed image across all streams.
+  // The log stream (<path>.wal); null in journal mode. Appends belong to
+  // the single writer; fsyncs may run on another thread and hand off
+  // through WalWriter's atomic committed bytes (wal/wal_writer.hpp).
+  std::unique_ptr<wal::WalWriter> wal_;
+  // Serializes log fsyncs against each other and against checkpoint
+  // truncation.
+  util::Mutex wal_mu_;
+  // Committed transactions not yet fsynced. Released by the committing
+  // thread after the append, acquired by the syncing thread before it
+  // snapshots committed bytes — so a sync that observes N pending
+  // commits observes their appended bytes.
+  std::atomic<uint32_t> unsynced_commits_{0};
+  // The first failed log fsync; sticky for the pager's lifetime.
+  util::Status sync_error_ BP_GUARDED_BY(wal_mu_);
+  // page id -> log offset of its latest committed image.
   std::unordered_map<PageId, uint64_t> wal_index_;
-  // The (page, slot) pairs of the most recent WAL commit; what
+  // The (page, offset) pairs of the most recent WAL commit; what
   // PublishCommitDelta applies to the published index.
   std::vector<std::pair<PageId, uint64_t>> last_commit_offsets_;
-  // Merged commit sequence recovered from the streams at Open (what
-  // Open bumps commit_seq_ to when the folded header predates it).
+  // Commit sequence recovered from the log at Open (what Open bumps
+  // commit_seq_ to when the folded header predates it).
   uint64_t recovered_commit_seq_ = 0;
-  // Streams whose fsync is in flight right now; a sync that starts
-  // while this is nonzero is an overlap (stats_.fsync_overlaps).
-  std::atomic<uint32_t> fsyncs_in_flight_{0};
 
   // --- snapshot support ----------------------------------------------
   // The committed state as readers may observe it. Guarded by
@@ -620,23 +529,14 @@ class Pager {
   // every snapshot's view stays immutable.
   struct PublishedState {
     uint64_t commit_seq = 0;
-    // Newest commit sequence per domain stream (the snapshot LSN
-    // vector).
-    std::array<uint64_t, kMaxWriteDomains> domain_commit_seq{};
     uint32_t page_count = 0;
     PageId catalog_root = kNoPage;
     uint32_t main_file_pages = 0;
-    uint32_t main_generation = 0;  // main-file pool image keys
-    // Per-domain generations for WAL-resident pool image keys.
-    std::array<uint32_t, kMaxWriteDomains> domain_generation{};
+    uint32_t generation = 0;  // pool image keys
     std::shared_ptr<std::unordered_map<PageId, uint64_t>> wal_index;
   };
-  // LOCK ORDER (S6): commit_mu_ strictly before either domain mutex;
-  // domain mutexes by ascending id (no annotation can relate two
-  // elements of a member array, so that half of the order is enforced
-  // by convention: every multi-domain path iterates d = 0, 1).
-  mutable util::Mutex commit_mu_
-      BP_ACQUIRED_BEFORE(domains_[0].mu, domains_[1].mu);
+  // LOCK ORDER: commit_mu_ strictly before wal_mu_.
+  mutable util::Mutex commit_mu_ BP_ACQUIRED_BEFORE(wal_mu_);
   PublishedState published_ BP_GUARDED_BY(commit_mu_);
   uint32_t live_snapshots_ BP_GUARDED_BY(commit_mu_) = 0;
   // Totals folded in by ReleaseSnapshot.
@@ -661,8 +561,8 @@ class Pager {
   };
   // Writer-side counters. The StatCell block is single-writer (see
   // above); the trailing plain atomics are bumped with real fetch_add
-  // because stream fsyncs — and so these counters — can run on a
-  // non-writer thread (SyncWalDomain), concurrently with each other.
+  // because log fsyncs — and so these counters — can run on a
+  // non-writer thread (SyncWal, FlushPending).
   struct AtomicPagerStats {
     StatCell commits;
     StatCell rollbacks;
@@ -682,7 +582,8 @@ class Pager {
       std::atomic<uint64_t> fsyncs{0};
       std::atomic<uint64_t> bytes_synced{0};
       std::atomic<uint64_t> group_commits{0};
-      std::atomic<uint64_t> fsync_overlaps{0};
+      // The log's share of bytes_synced (read by domain_stats only).
+      std::atomic<uint64_t> wal_bytes_synced{0};
     } sync;
   };
   AtomicPagerStats stats_;
@@ -700,9 +601,8 @@ class Pager {
 };
 
 // Begins a transaction when none is open; a no-op when the caller already
-// holds one (the operation then composes into the outer transaction,
-// whatever that transaction's write domain — a nested AutoTxn never
-// re-routes). The destructor ROLLS BACK an owned, uncommitted
+// holds one (the operation then composes into the outer transaction).
+// The destructor ROLLS BACK an owned, uncommitted
 // transaction, so any early error return undoes partial mutations;
 // success paths must end with `return txn.Commit();`.
 //
@@ -710,10 +610,9 @@ class Pager {
 // mutations stay in that transaction — the outer caller must Rollback.
 class AutoTxn {
  public:
-  explicit AutoTxn(Pager& pager) : AutoTxn(pager, kGraphDomain) {}
-  AutoTxn(Pager& pager, WriteDomain domain) : pager_(pager) {
+  explicit AutoTxn(Pager& pager) : pager_(pager) {
     if (!pager_.InTransaction()) {
-      begin_status_ = pager_.Begin(domain);
+      begin_status_ = pager_.Begin();
       owns_ = begin_status_.ok();
     }
   }

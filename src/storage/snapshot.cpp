@@ -49,13 +49,7 @@ Result<std::shared_ptr<const std::string>> Snapshot::ReadPage(
         id));
   }
 
-  // Stream-resident images are versioned by the owning STREAM's
-  // generation (the slot's offsets are what checkpoint truncation
-  // recycles); main-file ones by the main-file generation.
-  const uint32_t generation =
-      in_wal ? domain_generation_[SlotStream(wal_hit->second)]
-             : main_generation_;
-  PageImageKey key{pool_owner_, id, generation,
+  PageImageKey key{pool_owner_, id, generation_,
                    in_wal ? wal_hit->second : kMainFileImage};
   if (pool_ != nullptr) {
     if (std::shared_ptr<const std::string> image = pool_->Lookup(key)) {
@@ -71,14 +65,11 @@ Result<std::shared_ptr<const std::string>> Snapshot::ReadPage(
   // the fallback cache keeps whichever inserted first.
   auto page = std::make_shared<std::string>();
   if (in_wal) {
-    // Latest committed image as of this snapshot lives in the slot's
-    // domain stream. A stream only grows while snapshots are live
-    // (checkpoint truncation is deferred), so the frozen offset is
-    // still the bytes we froze.
-    const uint64_t slot = wal_hit->second;
+    // Latest committed image as of this snapshot lives in the log. The
+    // log only grows while snapshots are live (checkpoint truncation is
+    // deferred), so the frozen offset is still the bytes we froze.
     BP_RETURN_IF_ERROR(
-        pager_->domains_[SlotStream(slot)].wal->ReadPayload(
-            SlotOffset(slot), kPageSize, page.get()));
+        pager_->wal_->ReadPayload(wal_hit->second, kPageSize, page.get()));
   } else {
     // The main database file is only rewritten by checkpoints, which
     // cannot run while this snapshot is live.

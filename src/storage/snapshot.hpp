@@ -1,11 +1,9 @@
 // Snapshot: a consistent, immutable read view of a WAL-mode database.
 //
-// BeginRead() freezes the committed state at a commit sequence number —
-// plus, with partitioned write domains, the per-domain commit-sequence
-// vector — along with the page count, catalog root, and a frozen copy
-// of the WAL index (page id -> stream slot of the latest committed
-// image <= that commit; the slot names the owning domain's log stream
-// and the offset within it). Reads resolve, in order, against
+// BeginRead() freezes the committed state at a commit sequence number,
+// along with the page count, catalog root, checkpoint generation, and a
+// frozen copy of the WAL index (page id -> log offset of the latest
+// committed image <= that commit). Reads resolve, in order, against
 //
 //   1. the snapshot's own L1 memo — a map from page id to the frame
 //      this snapshot already resolved. A frozen view's page -> image
@@ -43,7 +41,6 @@
 // Pager closes.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -73,14 +70,8 @@ class Snapshot {
   util::Result<std::shared_ptr<const std::string>> ReadPage(PageId id) const
       BP_EXCLUDES(mu_);
 
-  // Committed state this snapshot observes. commit_seq is the merged
-  // (database-wide) sequence; domain_commit_seq pins the newest
-  // sequence per write domain's stream — together the LSN vector the
-  // snapshot was frozen at.
+  // Committed state this snapshot observes.
   uint64_t commit_seq() const { return commit_seq_; }
-  uint64_t domain_commit_seq(WriteDomain domain) const {
-    return domain < kMaxWriteDomains ? domain_commit_seq_[domain] : 0;
-  }
   uint32_t page_count() const { return page_count_; }
   PageId catalog_root() const { return catalog_root_; }
 
@@ -100,23 +91,17 @@ class Snapshot {
 
   Pager* pager_ = nullptr;
   uint64_t commit_seq_ = 0;
-  // Per-domain commit sequences at freeze time (the snapshot's LSN
-  // vector; see Pager's file header).
-  std::array<uint64_t, kMaxWriteDomains> domain_commit_seq_{};
   uint32_t page_count_ = 0;
   PageId catalog_root_ = kNoPage;
   // Pages <= this are served from the main database file when absent
   // from the frozen WAL index.
   uint32_t main_file_pages_ = 0;
-  // Checkpoint generations at freeze time (pool image keys; constant
-  // while the snapshot lives, because checkpoints are deferred):
-  // main-file images are versioned by main_generation_, stream-resident
-  // ones by their stream's entry in domain_generation_.
-  uint32_t main_generation_ = 0;
-  std::array<uint32_t, kMaxWriteDomains> domain_generation_{};
-  // Frozen view of the WAL index (page id -> stream slot, see
-  // MakeWalSlot), shared with the pager's published state (immutable
-  // once published; republished, not mutated).
+  // Checkpoint generation at freeze time (pool image keys; constant
+  // while the snapshot lives, because checkpoints are deferred).
+  uint32_t generation_ = 0;
+  // Frozen view of the WAL index (page id -> log offset), shared with
+  // the pager's published state (immutable once published;
+  // republished, not mutated).
   std::shared_ptr<const std::unordered_map<PageId, uint64_t>> wal_index_;
 
   // The pager's shared versioned buffer pool; null when disabled.

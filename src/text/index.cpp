@@ -22,6 +22,7 @@ using util::Writer;
 namespace {
 
 const std::string kStatsKey = "stats";
+const std::string kWatermarkKey = "watermark";
 
 // Postings blobs are delta+varint pairs: doc ids (sorted) as gaps, tf
 // verbatim. The byte format lives in storage::compress so the storage
@@ -105,6 +106,15 @@ Status InvertedIndex::LoadStats() {
   } else if (!blob.status().IsNotFound()) {
     return blob.status();
   }
+  watermark_ = 0;
+  auto mark = meta_tree_->Get(kWatermarkKey);
+  if (mark.ok()) {
+    Reader r(*mark);
+    watermark_ = r.ReadVarint64();
+    BP_RETURN_IF_ERROR(r.Finish());
+  } else if (!mark.status().IsNotFound()) {
+    return mark.status();
+  }
   stats_loaded_ = true;
   return Status::Ok();
 }
@@ -113,7 +123,10 @@ Status InvertedIndex::SaveStats() {
   Writer w;
   w.PutVarint64(total_docs_);
   w.PutVarint64(total_tokens_);
-  return meta_tree_->Put(kStatsKey, w.data());
+  BP_RETURN_IF_ERROR(meta_tree_->Put(kStatsKey, w.data()));
+  Writer mark;
+  mark.PutVarint64(watermark_);
+  return meta_tree_->Put(kWatermarkKey, mark.data());
 }
 
 Status InvertedIndex::AddDocument(DocId doc,
@@ -137,11 +150,7 @@ Status InvertedIndex::Flush() {
   // Bound handles have nothing pending by construction (AddDocument is
   // rejected), so the implicit Flush in every query is a no-op there.
   if (pending_.empty() && pending_doc_lengths_.empty()) return Status::Ok();
-  // Index writes ride the text write domain: with partitioned domains
-  // their WAL frames land on stream 1, so an index refresh's fsync can
-  // overlap the ingest committer's fsync on stream 0 (single-domain
-  // pagers route this back to domain 0; see Pager::Begin).
-  AutoTxn txn(db_.pager(), storage::kTextDomain);
+  AutoTxn txn(db_.pager());
 
   for (auto& [term, postings] : pending_) {
     std::sort(postings.begin(), postings.end(),

@@ -10,6 +10,7 @@
 //                delta-varint doc id, varint term frequency)
 //   <ns>.docs  : big-endian doc id -> varint token count
 //   <ns>.meta  : "stats" -> (varint total docs, varint total tokens)
+//                "watermark" -> varint (see watermark())
 //
 // Writes buffer in memory and merge into the trees on Flush() (documents
 // arrive one page visit at a time, but terms repeat heavily; buffering
@@ -68,12 +69,23 @@ class InvertedIndex {
   // be added at most once; re-adding merges term frequencies.
   util::Status AddDocument(DocId doc, const std::vector<std::string>& tokens);
 
-  // Merges buffered postings into the persistent trees.
+  // Merges buffered postings into the persistent trees and stores the
+  // watermark with them, in one transaction.
   util::Status Flush();
 
-  // Re-reads the persisted corpus stats, discarding the cached copies.
-  // For callers whose surrounding transaction rolled back after a
-  // Flush: the trees reverted, so the cached totals must too.
+  // How far through its document source the caller has indexed (the
+  // HistorySearcher stores the highest node id it scanned). Flush
+  // persists it together with the postings it covers, so a rollback
+  // reverts watermark and postings together, and a reopened index
+  // resumes after the last document its last committed Flush stored.
+  // With nothing buffered, Flush writes nothing, so the persisted value
+  // may trail the in-memory one by ids that added no documents.
+  DocId watermark() const { return watermark_; }
+  void set_watermark(DocId watermark) { watermark_ = watermark; }
+
+  // Re-reads the persisted corpus stats and watermark, discarding the
+  // cached copies. For callers whose surrounding transaction rolled back
+  // after a Flush: the trees reverted, so the cached values must too.
   util::Status ReloadStats() { return LoadStats(); }
 
   // BM25-ranked disjunctive (OR) search over the query tokens. Returns up
@@ -117,6 +129,7 @@ class InvertedIndex {
 
   uint64_t total_docs_ = 0;
   uint64_t total_tokens_ = 0;
+  DocId watermark_ = 0;
   bool stats_loaded_ = false;
   Bm25Params params_;
 };

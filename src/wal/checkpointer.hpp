@@ -1,43 +1,28 @@
-// Checkpointer: folds the committed contents of write-ahead log
-// streams back into the main database file.
+// Checkpointer: folds the committed contents of the write-ahead log
+// back into the main database file.
 //
-// Protocol (both call sites follow it; Fold/FoldStreams only do step 2):
+// Protocol (both call sites follow it; Fold only does step 2):
 //   1. The caller makes sure the log is durable (WalWriter::Sync) — the
 //      log must always be AHEAD of the database file, otherwise a crash
 //      could leave the database holding pages from a transaction the log
 //      does not know committed. (During open-time crash recovery there
 //      is nothing to sync: whatever survived IS the log.)
-//   2. Fold()/FoldStreams() write committed page images from the log(s)
-//      into the database file, then fsync it (when sync=true; a caller
-//      that wants to append its own header patch to the same fsync
-//      passes sync=false and syncs the db file itself).
-//   3. The caller retires the log(s) (WalWriter::ResetToHeader at
-//      runtime, Env::Remove during open-time recovery) — only AFTER the
-//      fold is durable. A crash between 2 and 3 is harmless: folding is
-//      idempotent, the next open refolds (and a stream removed early by
-//      a crash mid-step-3 at most re-creates a gap above the already-
-//      durable fold, which folds nothing).
-//
-// FoldStreams merges several domain streams into ONE total order:
-//   B = max(base_seq over present streams)   — everything at or below B
-//       is already in the database file (base_seq records the commit
-//       sequence the db contained when the stream was (re)created);
-//   replay merged commit sequences B+1, B+2, ... while contiguous —
-//       every database-wide commit sequence lands in exactly one
-//       stream, so a missing sequence means some stream lost its tail
-//       in a crash; transactions above the gap may depend on pages
-//       (allocations, freelist, header) from the missing one and are
-//       discarded with it. The surviving prefix is the highest
-//       MUTUALLY CONSISTENT merged sequence across all streams.
+//   2. Fold() writes the latest committed image of every page in the
+//      log into the database file, then fsyncs it (when sync=true; a
+//      caller that wants to append its own header patch to the same
+//      fsync passes sync=false and syncs the db file itself).
+//   3. The caller retires the log (WalWriter::ResetToHeader at runtime,
+//      Env::Remove during open-time recovery) — only AFTER the fold is
+//      durable. A crash between 2 and 3 is harmless: folding is
+//      idempotent, and the next open refolds.
 //
 // Used at two points: Pager::Open (crash recovery = a fold of whatever
-// committed prefix survives) and at runtime when the logs cross the
+// committed prefix survives) and at runtime when the log crosses the
 // size threshold or the pager closes cleanly.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "storage/compress.hpp"
 #include "storage/env.hpp"
@@ -50,7 +35,7 @@ struct CheckpointResult {
   uint64_t pages_folded = 0;
   uint64_t bytes_written = 0;
   uint64_t commits = 0;          // committed transactions folded
-  uint64_t last_commit_seq = 0;  // highest merged sequence folded
+  uint64_t last_commit_seq = 0;  // highest commit sequence folded
   uint32_t page_count = 0;       // database page count after the fold
   bool synced_db = false;
   // Compression accounting (zero when folding uncompressed): pages
@@ -63,7 +48,7 @@ struct CheckpointResult {
 
 class Checkpointer {
  public:
-  // Folds committed frames of the single stream `wal_path` into
+  // Folds committed frames of the log at `wal_path` into
   // `db_file` (step 2 above). When `compression` is enabled, eligible
   // pages (never page 0 — the header is read before any decoder exists)
   // are folded as self-describing compressed frames, zero-padded to the
@@ -75,17 +60,6 @@ class Checkpointer {
       bool sync, const storage::compress::CompressionOptions& compression =
                      storage::compress::CompressionOptions{
                          storage::compress::CompressionOptions::Mode::kOff});
-
-  // Folds the merged, mutually consistent prefix of several domain
-  // streams into `db_file` (see file header). Missing stream files are
-  // skipped; a Corruption from any present stream's file header is
-  // propagated. `compression` as for Fold.
-  static util::Result<CheckpointResult> FoldStreams(
-      Env* env, storage::File* db_file,
-      const std::vector<std::string>& stream_paths, bool sync,
-      const storage::compress::CompressionOptions& compression =
-          storage::compress::CompressionOptions{
-              storage::compress::CompressionOptions::Mode::kOff});
 };
 
 }  // namespace bp::wal

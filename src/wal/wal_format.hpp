@@ -1,13 +1,11 @@
-// On-disk format of a write-ahead log stream.
+// On-disk format of the write-ahead log.
 //
-// A database owns one WAL stream per WRITE DOMAIN (stream 0 lives at
-// <db path>.wal, stream N at <db path>.walN). Each stream is a
-// sequential, checksummed redo log with its own LSN sequence and its own
-// chained checksum. A committing transaction appends one kPageImage
-// frame per dirty page followed by a kCommit frame — all to the stream
-// its write domain owns, in a single File::Write; durability costs at
-// most one fsync per stream (and, with group commit, one fsync per
-// *window* of transactions).
+// A database owns one WAL, <db path>.wal: a sequential, checksummed redo
+// log with its own LSN sequence and chained checksum. A committing
+// transaction appends one kPageImage frame per dirty page followed by a
+// kCommit frame in a single File::Write; durability costs at most one
+// fsync per commit (and, with group commit, one fsync per *window* of
+// transactions).
 //
 // Layout:
 //   file header:  magic u32 | version u32 | page_size u32 | salt u64 |
@@ -22,18 +20,13 @@
 // frame before it validated, so a reader can treat the first bad or
 // torn frame as the end of the log — exactly the property crash
 // recovery needs: a crash at any byte boundary leaves a valid committed
-// prefix *of that stream*.
+// prefix.
 //
-// kCommit frames carry (commit_seq u64, page_count u32). commit_seq is
-// drawn from the database-wide commit clock, so the union of all
-// streams' commit frames forms one total order; each stream carries a
-// subsequence of it. `base_seq` records the commit sequence the main
-// database file already contained when the stream was (re)created —
-// recovery skips commit frames at or below the highest base across
-// streams, then replays the merged sequence while it stays contiguous
-// (see Checkpointer::FoldStreams). The per-frame stream byte must match
-// the header's stream_id; a frame from another stream ends the log like
-// any other corruption.
+// kCommit frames carry (commit_seq u64, page_count u32). `base_seq`
+// records the commit sequence the main database file already contained
+// when the log was (re)created. The stream id fields are always
+// kWalStreamId; the per-frame stream byte must match the header's, and
+// a frame that does not ends the log like any other corruption.
 //
 // Page images that are not followed by a commit frame belong to a
 // transaction whose fsync never completed; recovery ignores them.
@@ -47,6 +40,7 @@ namespace bp::wal {
 
 constexpr uint32_t kWalMagic = 0x4250574c;  // "BPWL"
 constexpr uint32_t kWalVersion = 2;         // 2: stream id + base seq
+constexpr uint32_t kWalStreamId = 0;        // the one stream
 
 // Fixed seed for the first frame's checksum chain. A per-file random salt
 // would guard against reading frames from a *previous* WAL incarnation,

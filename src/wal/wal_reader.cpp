@@ -34,17 +34,15 @@ Result<WalContents> WalReader::ReadCommitted(Env* env,
   uint32_t page_size = header.ReadU32();
   header.ReadU64();  // salt (fixed; chain seeds from kWalSalt)
   uint32_t stream_id = header.ReadU32();
-  uint64_t base_seq = header.ReadU64();
+  header.ReadU64();  // base_seq (informational)
   if (magic != kWalMagic || version != kWalVersion ||
       page_size != kPageSize) {
     return Status::Corruption("bad wal header: " + path);
   }
-  out.stream_id = stream_id;
-  out.base_seq = base_seq;
   out.valid_bytes = kWalFileHeaderBytes;
 
   // Page images of the transaction currently being scanned; promoted to
-  // out.pages / out.txns when (and only when) its commit frame validates.
+  // out.pages when (and only when) its commit frame validates.
   std::map<PageId, std::string> pending;
   uint64_t chain = kWalSalt;
   uint64_t expected_lsn = 1;
@@ -93,19 +91,12 @@ Result<WalContents> WalReader::ReadCommitted(Env* env,
       pending[page_id] = std::string(payload);
     } else {
       Reader c(payload);
-      uint64_t commit_seq = c.ReadU64();
-      uint32_t page_count = c.ReadU32();
-      WalTxn txn;
-      txn.commit_seq = commit_seq;
-      txn.page_count = page_count;
-      txn.pages = pending;  // copy: aggregate view still wants the images
+      out.last_commit_seq = c.ReadU64();
+      out.last_page_count = c.ReadU32();
       for (auto& [id, image] : pending) {
         out.pages[id] = std::move(image);
       }
       pending.clear();
-      out.txns.push_back(std::move(txn));
-      out.last_commit_seq = commit_seq;
-      out.last_page_count = page_count;
       ++out.commits;
     }
   }

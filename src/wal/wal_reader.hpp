@@ -1,5 +1,5 @@
-// WalReader: scan side of one write-ahead log stream, used by crash
-// recovery and the checkpointer.
+// WalReader: scan side of the write-ahead log, used by crash recovery
+// and the checkpointer.
 //
 // The reader walks frames from the start of the file, verifying the
 // chained checksum, and STOPS at the first invalid frame — torn tail,
@@ -7,19 +7,13 @@
 // point is treated as if it were never written (it is a crashed
 // append). Page images are only surfaced once their transaction's
 // kCommit frame has validated; trailing images with no commit frame are
-// discarded.
-//
-// A scan yields both the stream's aggregate committed state (latest
-// image per page — what a single-stream fold needs) and the per-
-// transaction breakdown (`txns`, ordered by commit sequence — what the
-// multi-stream merged fold needs to interleave transactions from
-// several streams into one total order; see Checkpointer::FoldStreams).
+// discarded. A scan yields the log's committed state: the latest
+// committed image of every page it holds.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "storage/env.hpp"
 #include "wal/wal_format.hpp"
@@ -29,21 +23,10 @@ namespace bp::wal {
 using storage::Env;
 using storage::PageId;
 
-// One committed transaction as recovered from a stream scan.
-struct WalTxn {
-  uint64_t commit_seq = 0;
-  uint32_t page_count = 0;  // database page count as of this commit
-  std::map<PageId, std::string> pages;
-};
-
 // The committed state recovered from a log scan.
 struct WalContents {
   // Latest committed image of every page present in the log.
   std::map<PageId, std::string> pages;
-  // Every committed transaction, in log (= commit sequence) order.
-  std::vector<WalTxn> txns;
-  uint32_t stream_id = 0;   // from the file header
-  uint64_t base_seq = 0;    // from the file header
   uint64_t last_commit_seq = 0;
   uint32_t last_page_count = 0;
   uint64_t commits = 0;

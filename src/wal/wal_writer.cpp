@@ -15,19 +15,18 @@ Status WalWriter::WriteHeader(uint64_t base_seq) {
   w.PutU32(kWalVersion);
   w.PutU32(storage::kPageSize);
   w.PutU64(kWalSalt);
-  w.PutU32(stream_id_);
+  w.PutU32(kWalStreamId);
   w.PutU64(base_seq);
   BP_CHECK(w.size() == kWalFileHeaderBytes);
   return file_->Write(0, w.data());
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(Env* env, std::string path,
-                                                   uint32_t stream_id,
                                                    uint64_t base_seq) {
   BP_ASSIGN_OR_RETURN(std::unique_ptr<File> file, env->Open(path));
   BP_RETURN_IF_ERROR(file->Truncate(0));
   std::unique_ptr<WalWriter> writer(
-      new WalWriter(std::move(file), std::move(path), stream_id));
+      new WalWriter(std::move(file), std::move(path)));
   BP_RETURN_IF_ERROR(writer->WriteHeader(base_seq));
   writer->file_bytes_ = kWalFileHeaderBytes;
   writer->committed_bytes_.store(kWalFileHeaderBytes,
@@ -41,7 +40,7 @@ void WalWriter::AppendFrame(FrameType type, PageId page_id,
                             std::string_view payload) {
   size_t frame_start = buffer_.size();
   buffer_.PutU8(static_cast<uint8_t>(type));
-  buffer_.PutU8(static_cast<uint8_t>(stream_id_));
+  buffer_.PutU8(static_cast<uint8_t>(kWalStreamId));
   buffer_.PutU32(page_id);
   buffer_.PutU64(pending_lsn_++);
   buffer_.PutU32(static_cast<uint32_t>(payload.size()));

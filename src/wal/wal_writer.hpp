@@ -1,4 +1,4 @@
-// WalWriter: append side of one write-ahead log stream.
+// WalWriter: append side of a database's write-ahead log.
 //
 // Usage per transaction (driven by the Pager):
 //   for each dirty page: offset = writer.AddPage(id, bytes);
@@ -18,17 +18,16 @@
 // layer up by the serialization on ProvenanceDb's writer mutex, the same
 // external contract the Pager's own unguarded write-path members rely
 // on. Sync(), however, may be called from a DIFFERENT thread than the
-// one appending (the index-maintenance lane fsyncs its domain's stream
-// while the ingest committer keeps appending to another — and, at drain
-// barriers, to this one): CommitTxn publishes the committed length with
-// a release store and Sync reads it with an acquire load, so a sync
-// covers exactly the commits whose Write completed before it started.
-// Concurrent Sync calls on the SAME stream must be serialized by the
-// caller (the Pager's per-domain mutex); synced_bytes_ is only touched
-// under that external lock. ReadPayload is const, touches no writer-side
-// members, and is made safe by the per-file reader/writer lock inside
-// File (see storage/env.hpp) plus the pager's rule that checkpoint
-// truncation never runs while a snapshot is live.
+// one appending (the ingest committer's group close runs outside that
+// writer mutex, while synchronous writers keep appending): CommitTxn
+// publishes the committed length with a release store and Sync reads it
+// with an acquire load, so a sync covers exactly the commits whose
+// Write completed before it started. Concurrent Sync calls must be
+// serialized by the caller (the Pager's wal_mu_); synced_bytes_ is only
+// touched under that external lock. ReadPayload is const, touches no
+// writer-side members, and is made safe by the per-file reader/writer
+// lock inside File (see storage/env.hpp) plus the pager's rule that
+// checkpoint truncation never runs while a snapshot is live.
 #pragma once
 
 #include <atomic>
@@ -50,14 +49,12 @@ using storage::PageId;
 class WalWriter {
  public:
   // Opens `path`, truncating any previous contents and writing a fresh
-  // file header carrying `stream_id` and `base_seq` (the commit
-  // sequence the main database file already contains — recovery skips
-  // commit frames at or below the highest base across streams).
-  // Recovery (wal_reader + checkpointer) must run BEFORE construction;
-  // an existing log is assumed already folded into the database file.
+  // file header carrying `base_seq` (the commit sequence the main
+  // database file already contains). Recovery (wal_reader +
+  // checkpointer) must run BEFORE construction; an existing log is
+  // assumed already folded into the database file.
   static util::Result<std::unique_ptr<WalWriter>> Open(Env* env,
                                                        std::string path,
-                                                       uint32_t stream_id = 0,
                                                        uint64_t base_seq = 0);
 
   // Buffers one page-image frame for the transaction being committed.
@@ -75,14 +72,13 @@ class WalWriter {
   // Fsyncs the file if any bytes were committed since the last sync.
   // Returns the number of bytes this call made durable (0 = no-op).
   // Callable from a non-append thread (see header comment); concurrent
-  // Syncs of one stream must be serialized by the caller.
+  // Syncs must be serialized by the caller.
   util::Result<uint64_t> Sync();
 
   // Truncates to a fresh file header carrying `base_seq` after a
   // checkpoint folded the log into the database file. Resets the
   // checksum chain and LSN counter. Append-thread only, and never
-  // concurrent with Sync (the pager holds every domain mutex across a
-  // checkpoint).
+  // concurrent with Sync (the pager holds wal_mu_ across a checkpoint).
   util::Status ResetToHeader(uint64_t base_seq);
 
   // Reads `n` payload bytes at `offset` (as returned by AddPage).
@@ -99,24 +95,20 @@ class WalWriter {
     return file_bytes_ - synced_bytes_.load(std::memory_order_relaxed);
   }
   uint64_t next_lsn() const { return next_lsn_; }
-  uint32_t stream_id() const { return stream_id_; }
   // Committed (appended) file length, header included. Thread-safe.
   uint64_t committed_bytes() const {
     return committed_bytes_.load(std::memory_order_relaxed);
   }
 
  private:
-  WalWriter(std::unique_ptr<File> file, std::string path, uint32_t stream_id)
-      : file_(std::move(file)),
-        path_(std::move(path)),
-        stream_id_(stream_id) {}
+  WalWriter(std::unique_ptr<File> file, std::string path)
+      : file_(std::move(file)), path_(std::move(path)) {}
 
   void AppendFrame(FrameType type, PageId page_id, std::string_view payload);
   util::Status WriteHeader(uint64_t base_seq);
 
   std::unique_ptr<File> file_;
   std::string path_;
-  const uint32_t stream_id_;
   util::Writer buffer_;      // frames of the in-flight transaction
   uint64_t file_bytes_ = 0;  // committed file length (append thread)
   // Committed file length as published to Sync: stored with release
@@ -124,7 +116,7 @@ class WalWriter {
   // Sync — possibly on another thread.
   std::atomic<uint64_t> committed_bytes_{0};
   // File length at last fsync. Only touched by Sync/ResetToHeader,
-  // serialized by the caller (per-domain mutex / checkpoint exclusivity);
+  // serialized by the caller (wal_mu_ / checkpoint exclusivity);
   // atomic so bytes_since_sync() on the append thread reads tear-free.
   std::atomic<uint64_t> synced_bytes_{0};
   uint64_t next_lsn_ = 1;

@@ -1,24 +1,20 @@
-// Cross-stream crash recovery tests for partitioned write domains.
+// Crash recovery of the one WAL stream under interleaved workloads.
 //
-// A two-domain database keeps TWO write-ahead log streams (graph on
-// stream 0, text index on stream 1), each with its own group-commit
-// clock, joined at recovery by a commit-sequence merge: replay the
-// merged sequences contiguously from the highest base and discard
-// everything above the first gap (a gap means some stream lost its
-// tail — later transactions may depend on pages the missing one
-// allocated). These tests prove the property the design hangs on:
-// EVERY crash point recovers to a mutually consistent merged-sequence
-// prefix — never a state where one stream's effects are visible past a
+// Graph transactions and text-index transactions (the two kinds of
+// commit the facade issues) append to the same log, <db>.wal, in one
+// commit order. These tests prove the property recovery hangs on:
+// EVERY crash point recovers to exactly a transaction boundary of that
+// order — never a state where one tree's effects are visible past a
 // lost commit of the other.
 //
-//   1. FoldStreamsTest — the merge itself, on hand-built streams: gap
-//      truncation, base-sequence anchoring, torn tails.
-//   2. CrossStreamCrashInjectionPropertyTest — the full stack: a
-//      scripted two-domain workload with the MemEnv op log recording
-//      every byte that hits the "disk"; then, for every prefix of the
-//      op sequence (plus torn cuts through the next write), restore,
-//      replay, REOPEN, and require the recovered database to be
-//      exactly a transaction boundary state of the merged order.
+//   1. InterleavedCrashInjectionPropertyTest — the full stack: a
+//      scripted workload with the MemEnv op log recording every byte
+//      that hits the "disk"; then, for every prefix of the op sequence
+//      (plus torn cuts through the next write), restore, replay, REOPEN,
+//      and require the recovered database to be exactly a transaction
+//      boundary state.
+//   2. LeftoverSecondStreamTest — a <db>.wal1 written by a two-stream
+//      build makes Open fail instead of being dropped.
 //
 // Runs under TSan and ASan+UBSan in CI like the rest of the suite.
 #include <gtest/gtest.h>
@@ -32,7 +28,6 @@
 #include "storage/env.hpp"
 #include "storage/pager.hpp"
 #include "util/serde.hpp"
-#include "wal/checkpointer.hpp"
 #include "wal/wal_writer.hpp"
 
 namespace bp::wal {
@@ -41,122 +36,16 @@ namespace {
 using storage::Db;
 using storage::DbOptions;
 using storage::DurabilityMode;
-using storage::kGraphDomain;
 using storage::kPageSize;
-using storage::kTextDomain;
 using storage::MemEnv;
 using storage::MemEnvOp;
 using util::OrderedKeyU64;
 
-std::string Page(char fill) { return std::string(kPageSize, fill); }
-
-// ------------------------------------------------- FoldStreams merge
-
-TEST(FoldStreamsTest, MergesInterleavedStreamsInSequenceOrder) {
-  MemEnv env;
-  {
-    auto db_file = env.Open("db");
-    ASSERT_TRUE((*db_file)->Write(0, Page('0')).ok());
-  }
-  // Sequences 1,3 on stream 0; 2,4 on stream 1. Both streams rewrite
-  // page 1 — the merged order must leave the HIGHEST sequence's image.
-  auto s0 = WalWriter::Open(&env, "db.wal", 0, 0);
-  auto s1 = WalWriter::Open(&env, "db.wal1", 1, 0);
-  ASSERT_TRUE(s0.ok() && s1.ok());
-  (*s0)->AddPage(1, Page('A'));
-  ASSERT_TRUE((*s0)->CommitTxn(1, 2).ok());
-  (*s1)->AddPage(1, Page('B'));
-  ASSERT_TRUE((*s1)->CommitTxn(2, 2).ok());
-  (*s0)->AddPage(1, Page('C'));
-  ASSERT_TRUE((*s0)->CommitTxn(3, 2).ok());
-  (*s1)->AddPage(1, Page('D'));
-  (*s1)->AddPage(2, Page('E'));
-  ASSERT_TRUE((*s1)->CommitTxn(4, 3).ok());
-
-  auto db_file = env.Open("db");
-  auto folded = Checkpointer::FoldStreams(&env, db_file->get(),
-                                          {"db.wal", "db.wal1"}, true);
-  ASSERT_TRUE(folded.ok());
-  EXPECT_TRUE(folded->ran);
-  EXPECT_EQ(folded->commits, 4u);
-  EXPECT_EQ(folded->last_commit_seq, 4u);
-  EXPECT_EQ(folded->page_count, 3u);
-
-  std::string out;
-  ASSERT_TRUE((*db_file)->Read(kPageSize, 2 * kPageSize, &out).ok());
-  EXPECT_EQ(out.substr(0, kPageSize), Page('D'));  // seq 4 wins
-  EXPECT_EQ(out.substr(kPageSize, kPageSize), Page('E'));
-}
-
-TEST(FoldStreamsTest, GapTruncatesToMutuallyConsistentPrefix) {
-  MemEnv env;
-  {
-    auto db_file = env.Open("db");
-    ASSERT_TRUE((*db_file)->Write(0, Page('0')).ok());
-  }
-  // Stream 0 holds sequences 1 and 3; stream 1 LOST sequence 2 (its
-  // file is a bare header — the crash tore its whole tail off). Seq 3
-  // may depend on pages seq 2 allocated, so recovery must stop at 1.
-  auto s0 = WalWriter::Open(&env, "db.wal", 0, 0);
-  auto s1 = WalWriter::Open(&env, "db.wal1", 1, 0);
-  ASSERT_TRUE(s0.ok() && s1.ok());
-  (*s0)->AddPage(1, Page('A'));
-  ASSERT_TRUE((*s0)->CommitTxn(1, 2).ok());
-  (*s0)->AddPage(1, Page('C'));
-  (*s0)->AddPage(2, Page('X'));
-  ASSERT_TRUE((*s0)->CommitTxn(3, 3).ok());
-
-  auto db_file = env.Open("db");
-  auto folded = Checkpointer::FoldStreams(&env, db_file->get(),
-                                          {"db.wal", "db.wal1"}, true);
-  ASSERT_TRUE(folded.ok());
-  EXPECT_TRUE(folded->ran);
-  EXPECT_EQ(folded->commits, 1u) << "seq 3 must fall with the seq-2 gap";
-  EXPECT_EQ(folded->last_commit_seq, 1u);
-  EXPECT_EQ(folded->page_count, 2u);
-
-  std::string out;
-  ASSERT_TRUE((*db_file)->Read(kPageSize, kPageSize, &out).ok());
-  EXPECT_EQ(out, Page('A'));  // seq 1 applied, seq 3 discarded
-}
-
-TEST(FoldStreamsTest, BaseSeqAnchorsSkipAlreadyFoldedCommits) {
-  MemEnv env;
-  {
-    auto db_file = env.Open("db");
-    ASSERT_TRUE((*db_file)->Write(0, Page('0') + Page('F')).ok());
-  }
-  // Stream 1 was reset at a checkpoint that folded through seq 5 (its
-  // base), then logged seq 6. Stream 0 is STALE: it still holds seq 5
-  // from before that checkpoint (crash between fold and reset). The
-  // fold must anchor at B = max(bases) = 5, skip the stale seq-5
-  // frames, and apply only seq 6.
-  auto s0 = WalWriter::Open(&env, "db.wal", 0, 3);
-  auto s1 = WalWriter::Open(&env, "db.wal1", 1, 5);
-  ASSERT_TRUE(s0.ok() && s1.ok());
-  (*s0)->AddPage(1, Page('S'));  // stale pre-checkpoint image
-  ASSERT_TRUE((*s0)->CommitTxn(5, 2).ok());
-  (*s1)->AddPage(1, Page('N'));
-  ASSERT_TRUE((*s1)->CommitTxn(6, 2).ok());
-
-  auto db_file = env.Open("db");
-  auto folded = Checkpointer::FoldStreams(&env, db_file->get(),
-                                          {"db.wal", "db.wal1"}, true);
-  ASSERT_TRUE(folded.ok());
-  EXPECT_TRUE(folded->ran);
-  EXPECT_EQ(folded->commits, 1u);
-  EXPECT_EQ(folded->last_commit_seq, 6u);
-
-  std::string out;
-  ASSERT_TRUE((*db_file)->Read(kPageSize, kPageSize, &out).ok());
-  EXPECT_EQ(out, Page('N')) << "stale pre-checkpoint frame must lose";
-}
-
-// ------------------------- crash at every prefix, across both streams
+// ------------------------------------------------ crash at every prefix
 
 // The database state a crash point must recover to: the graph tree and
 // the text tree TOGETHER — the whole point is that they stay mutually
-// consistent as one merged prefix.
+// consistent as one committed prefix.
 struct TwoTreeModel {
   std::map<uint64_t, std::string> graph;
   std::map<uint64_t, std::string> text;
@@ -187,14 +76,14 @@ struct TxnBoundary {
   TwoTreeModel state;   // expected contents at that point
 };
 
-// Scripted two-domain workload: graph transactions ride stream 0, text
-// transactions stream 1. Every text transaction writes a marker
-// summarizing how many graph transactions it has observed — so a
-// recovery that surfaced a text state from beyond a lost graph commit
+// Scripted interleaved workload: graph transactions and text
+// transactions alternate on the one log. Every text transaction writes
+// a marker summarizing how many graph transactions it has observed — so
+// a recovery that surfaced a text state from beyond a lost graph commit
 // would not merely differ, it would be semantically inconsistent (the
 // exact-state check below subsumes the marker check; the marker makes
-// the workload's cross-domain dependency real rather than incidental).
-void RunCrossStreamCrashInjection(
+// the workload's cross-tree dependency real rather than incidental).
+void RunInterleavedCrashInjection(
     uint32_t wal_group_commit, uint64_t checkpoint_bytes,
     storage::compress::CompressionOptions::Mode compression =
         storage::compress::CompressionOptions::Mode::kOff) {
@@ -202,7 +91,6 @@ void RunCrossStreamCrashInjection(
   DbOptions opts;
   opts.env = &env;
   opts.durability = DurabilityMode::kWal;
-  opts.write_domains = 2;
   opts.wal_group_commit = wal_group_commit;
   opts.wal_checkpoint_bytes = checkpoint_bytes;
   opts.compression.mode = compression;
@@ -231,8 +119,8 @@ void RunCrossStreamCrashInjection(
     int graph_txns = 0;
     for (int t = 0; t < 18; ++t) {
       if (t % 3 != 2) {
-        // Graph transaction on stream 0.
-        ASSERT_TRUE((*db)->pager().Begin(kGraphDomain).ok());
+        // Graph transaction.
+        ASSERT_TRUE((*db)->Begin().ok());
         for (int i = 0; i < 3; ++i) {
           uint64_t key = (t * 7 + i * 3) % 20;
           std::string value = "g" + std::to_string(t) + "v" +
@@ -243,9 +131,9 @@ void RunCrossStreamCrashInjection(
         ASSERT_TRUE((*db)->Commit().ok());
         ++graph_txns;
       } else {
-        // Text transaction on stream 1, carrying the cross-domain
-        // marker plus its own payload.
-        ASSERT_TRUE((*db)->pager().Begin(kTextDomain).ok());
+        // Text transaction, carrying the cross-tree marker plus its own
+        // payload.
+        ASSERT_TRUE((*db)->Begin().ok());
         std::string marker = "seen" + std::to_string(graph_txns);
         ASSERT_TRUE((*x)->Put(OrderedKeyU64(0), marker).ok());
         model.text[0] = marker;
@@ -258,10 +146,9 @@ void RunCrossStreamCrashInjection(
       }
       boundaries.push_back({env.OpLogSize(), model});
 
-      // Uncommitted mutations on BOTH domains between transactions:
-      // they must never surface, whichever stream the crash tears.
-      const auto domain = (t % 2 == 0) ? kGraphDomain : kTextDomain;
-      ASSERT_TRUE((*db)->pager().Begin(domain).ok());
+      // Uncommitted mutations on BOTH trees between transactions: they
+      // must never surface, wherever the crash tears the log.
+      ASSERT_TRUE((*db)->Begin().ok());
       ASSERT_TRUE((*g)->Put(OrderedKeyU64(99), "UNCOMMITTED-G").ok());
       ASSERT_TRUE((*x)->Put(OrderedKeyU64(99), "UNCOMMITTED-X").ok());
       ASSERT_TRUE((*db)->Rollback().ok());
@@ -295,13 +182,13 @@ void RunCrossStreamCrashInjection(
       ASSERT_TRUE(g.ok() && x.ok());
       TwoTreeModel recovered = ReadTrees(*g, *x);
 
-      // The recovered database must be EXACTLY a merged-order boundary
+      // The recovered database must be EXACTLY a commit-order boundary
       // state: the last boundary fully contained in the prefix, or the
       // next one (legal when the crash point already has all of txn
       // li+1's bytes durable — e.g. mid-checkpoint, where the log
       // retirement is the only thing missing). A mix of two boundary
       // states — including any state where one tree runs ahead of what
-      // the other observed — is a cross-stream consistency bug.
+      // the other observed — is a consistency bug.
       size_t li = 0;
       for (size_t b = 0; b < boundaries.size(); ++b) {
         if (boundaries[b].ops_done <= p) li = b;
@@ -325,23 +212,21 @@ void RunCrossStreamCrashInjection(
   EXPECT_GT(checked, ops.size());
 }
 
-TEST(CrossStreamCrashInjectionPropertyTest, StrictDurabilityEveryPrefix) {
-  // Group window of 1: every commit fsyncs its own stream before the
-  // next begins; checkpoints interleave (small threshold), so crash
-  // points land mid-fold and mid-stream-reset too.
-  RunCrossStreamCrashInjection(1, 24 * kPageSize);
+TEST(InterleavedCrashInjectionPropertyTest, StrictDurabilityEveryPrefix) {
+  // Group window of 1: every commit fsyncs the log before the next
+  // begins; checkpoints interleave (small threshold), so crash points
+  // land mid-fold and mid-log-reset too.
+  RunInterleavedCrashInjection(1, 24 * kPageSize);
 }
 
-TEST(CrossStreamCrashInjectionPropertyTest, GroupedCommitsEveryPrefix) {
-  // Group window of 3: commits on both streams ride unsynced windows,
-  // so crash points expose cross-stream tails where one stream's
-  // window closed and the other's had not — the merge must still
-  // produce a contiguous prefix. Large checkpoint threshold keeps both
-  // logs long.
-  RunCrossStreamCrashInjection(3, 4 << 20);
+TEST(InterleavedCrashInjectionPropertyTest, GroupedCommitsEveryPrefix) {
+  // Group window of 3: commits ride unsynced windows, so crash points
+  // tear the log mid-window. Large checkpoint threshold keeps the log
+  // long.
+  RunInterleavedCrashInjection(3, 4 << 20);
 }
 
-TEST(CrossStreamCrashInjectionPropertyTest,
+TEST(InterleavedCrashInjectionPropertyTest,
      CompressedCheckpointsEveryPrefix) {
   // The storage diet on, with the small checkpoint threshold so folds
   // (now writing compressed frames into checkpoint slots) land inside
@@ -349,16 +234,46 @@ TEST(CrossStreamCrashInjectionPropertyTest,
   // state, with recovery reading back a MIX of compressed and raw
   // slots. Idempotence matters here too — a re-run fold after a crash
   // mid-checkpoint must overwrite slots byte-identically.
-  RunCrossStreamCrashInjection(
+  RunInterleavedCrashInjection(
       1, 24 * kPageSize, storage::compress::CompressionOptions::Mode::kFast);
 }
 
-TEST(CrossStreamCrashInjectionPropertyTest,
+TEST(InterleavedCrashInjectionPropertyTest,
      CompressedGroupedCommitsEveryPrefix) {
-  // Diet + group commit: torn unsynced windows on both streams with
-  // compression enabled in both WAL streams' fold path.
-  RunCrossStreamCrashInjection(
+  // Diet + group commit: torn unsynced windows with compression enabled
+  // in the fold path.
+  RunInterleavedCrashInjection(
       3, 4 << 20, storage::compress::CompressionOptions::Mode::kFast);
+}
+
+// ---------------------------------------- leftover second WAL stream
+
+TEST(LeftoverSecondStreamTest, OpenFailsAndKeepsTheFile) {
+  // Earlier builds split the log into <db>.wal and <db>.wal1, ordered
+  // against each other by commit sequence. Folding <db>.wal alone could
+  // apply commits past one that only <db>.wal1 holds, so Open must
+  // refuse — naming the file — and leave both logs untouched.
+  MemEnv env;
+  DbOptions opts;
+  opts.env = &env;
+  opts.durability = DurabilityMode::kWal;
+  {
+    auto db = Db::Open("db", opts);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->CreateTree("g").ok());
+  }
+  {
+    auto wal1 = WalWriter::Open(&env, "db.wal1");
+    ASSERT_TRUE(wal1.ok());
+    (*wal1)->AddPage(1, std::string(kPageSize, 'x'));
+    ASSERT_TRUE((*wal1)->CommitTxn(7, 2).ok());
+  }
+  auto db = Db::Open("db", opts);
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(db.status().ToString().find("db.wal1"), std::string::npos)
+      << db.status().ToString();
+  EXPECT_TRUE(env.Exists("db.wal1"));
 }
 
 }  // namespace

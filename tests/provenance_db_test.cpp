@@ -15,6 +15,7 @@
 #include "sim/scenario.hpp"
 #include "storage/buffer_pool.hpp"
 #include "storage/env.hpp"
+#include "util/time.hpp"
 
 namespace bp::prov {
 namespace {
@@ -640,6 +641,181 @@ TEST_F(ProvenanceDbTest, CloseRefusesWhileASnapshotViewIsLive) {
     EXPECT_TRUE(view->Search("rosebud").ok());
   }
   EXPECT_TRUE(db_->Close().ok());
+}
+
+// Text scores must not depend on how often a database was reopened:
+// each open indexes only pages its last committed index refresh did not
+// cover, so a reopen never adds a page's postings a second time.
+TEST(ProvenanceDbReopenTest, TextScoresSurviveCloseAndReopen) {
+  storage::MemEnv env;
+  ProvenanceDb::Options options;
+  options.db.env = &env;
+  const std::string kQuery = "rosebud flower garden";
+  const std::string kOld = "http://one.example/page";
+  const std::string kNew = "http://two.example/page";
+  auto score_of = [&](ProvenanceDb& db, const std::string& url) {
+    auto hits = db.TextualSearch(kQuery, 10);
+    EXPECT_TRUE(hits.ok()) << hits.status().ToString();
+    if (hits.ok()) {
+      for (const auto& page : hits->pages) {
+        if (page.url == url) return page.text_score;
+      }
+    }
+    ADD_FAILURE() << url << " not found";
+    return 0.0;
+  };
+  auto open = [&] {
+    auto db = ProvenanceDb::Open("reopen.db", options);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return db.ok() ? std::move(*db) : nullptr;
+  };
+
+  double fresh = 0;
+  {
+    auto db = open();
+    ASSERT_NE(db, nullptr);
+    sim::ScenarioBuilder s;
+    s.Visit(1, kOld, "rosebud flower garden",
+            capture::NavigationAction::kTyped);
+    s.Visit(1, "http://weather.example/today", "weather report rain",
+            capture::NavigationAction::kTyped);
+    s.Visit(1, "http://news.example/garden", "garden news weekly",
+            capture::NavigationAction::kTyped);
+    ASSERT_TRUE(db->IngestAll(s.events()).ok());
+    fresh = score_of(*db, kOld);
+    ASSERT_GT(fresh, 0.0);
+    ASSERT_TRUE(db->Close().ok());
+  }
+  for (int reopen = 1; reopen <= 3; ++reopen) {
+    auto db = open();
+    ASSERT_NE(db, nullptr);
+    EXPECT_DOUBLE_EQ(score_of(*db, kOld), fresh) << "after reopen " << reopen;
+    ASSERT_TRUE(db->Close().ok());
+  }
+
+  // A page with the same text ingested after the reopens scores exactly
+  // like the old one.
+  auto db = open();
+  ASSERT_NE(db, nullptr);
+  sim::ScenarioBuilder s(util::Days(2), 2000000);
+  s.Visit(1, kNew, "rosebud flower garden",
+          capture::NavigationAction::kTyped);
+  ASSERT_TRUE(db->IngestAll(s.events()).ok());
+  EXPECT_DOUBLE_EQ(score_of(*db, kNew), score_of(*db, kOld));
+}
+
+// Passes every call through to a MemEnv, except that once armed, the
+// next Sync of a file named *.wal fails. Every later Sync passes again,
+// as it would on a device whose error was reported once.
+class FailOneWalSyncEnv : public storage::Env {
+ public:
+  void FailNextWalSync() { fail_next_.store(true); }
+
+  util::Result<std::unique_ptr<storage::File>> Open(
+      const std::string& name) override {
+    BP_ASSIGN_OR_RETURN(std::unique_ptr<storage::File> file, mem_.Open(name));
+    const bool is_wal =
+        name.size() > 4 && name.compare(name.size() - 4, 4, ".wal") == 0;
+    if (!is_wal) return file;
+    return std::unique_ptr<storage::File>(
+        std::make_unique<WalFile>(std::move(file), &fail_next_));
+  }
+  util::Status Remove(const std::string& name) override {
+    return mem_.Remove(name);
+  }
+  bool Exists(const std::string& name) const override {
+    return mem_.Exists(name);
+  }
+
+ private:
+  class WalFile : public storage::File {
+   public:
+    WalFile(std::unique_ptr<storage::File> inner, std::atomic<bool>* fail_next)
+        : inner_(std::move(inner)), fail_next_(fail_next) {}
+    util::Status Read(uint64_t offset, size_t n,
+                      std::string* out) const override {
+      return inner_->Read(offset, n, out);
+    }
+    util::Status Write(uint64_t offset, std::string_view data) override {
+      return inner_->Write(offset, data);
+    }
+    util::Status Sync() override {
+      if (fail_next_->exchange(false)) {
+        return util::Status::IoError("injected WAL fsync failure");
+      }
+      return inner_->Sync();
+    }
+    util::Status Truncate(uint64_t size) override {
+      return inner_->Truncate(size);
+    }
+    util::Result<uint64_t> Size() const override { return inner_->Size(); }
+
+   private:
+    std::unique_ptr<storage::File> inner_;
+    std::atomic<bool>* fail_next_;
+  };
+
+  storage::MemEnv mem_;
+  std::atomic<bool> fail_next_{false};
+};
+
+// After one failed WAL fsync nothing may be acknowledged: the kernel
+// may have dropped the pages that fsync was writing, so a later fsync
+// that succeeds proves nothing about them. Only a reopen, which
+// recovers from what the log really holds, clears the error.
+TEST(ProvenanceDbFsyncFailureTest, NoAcknowledgementAfterAFailedWalFsync) {
+  FailOneWalSyncEnv env;
+  ProvenanceDb::Options options;
+  options.db.env = &env;
+  auto visit = [](int i) {
+    capture::VisitEvent v;
+    v.time = util::Days(1) + static_cast<util::TimeMs>(i) * 1000;
+    v.tab = 1;
+    v.visit_id = static_cast<uint64_t>(i) + 1;
+    v.url = "http://acked.example/" + std::to_string(i);
+    v.title = "page " + std::to_string(i);
+    v.action = capture::NavigationAction::kTyped;
+    return capture::BrowserEvent(v);
+  };
+
+  constexpr int kAcked = 20;
+  {
+    auto db = ProvenanceDb::Open("fsync.db", options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (int i = 0; i < kAcked; ++i) {
+      ASSERT_TRUE((*db)->IngestAsync(visit(i)).ok());
+    }
+    ASSERT_TRUE((*db)->Drain().ok());
+
+    env.FailNextWalSync();
+    auto first = (*db)->IngestAsync(visit(kAcked));
+    ASSERT_TRUE(first.ok());
+    ProvenanceDb::IngestTicket last = *first;
+    // The committer may close a group (and hit the failure) between two
+    // enqueues; a later enqueue then reports the sticky error instead.
+    for (int i = kAcked + 1; i < kAcked + 20; ++i) {
+      auto ticket = (*db)->IngestAsync(visit(i));
+      if (ticket.ok()) last = *ticket;
+    }
+    EXPECT_FALSE((*db)->Flush(last).ok()) << "the failing call";
+    // The device would take the next fsync; the database must not.
+    EXPECT_FALSE((*db)->Sync().ok());
+    EXPECT_FALSE((*db)->Flush(last).ok());
+    EXPECT_FALSE((*db)->Drain().ok());
+    EXPECT_FALSE((*db)->Sync().ok());
+    EXPECT_FALSE((*db)->Checkpoint().ok());
+    EXPECT_FALSE((*db)->Close().ok());
+  }
+
+  auto db = ProvenanceDb::Open("fsync.db", options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  for (int i = 0; i < kAcked; ++i) {
+    EXPECT_TRUE(
+        (*db)->store().PageForUrl("http://acked.example/" + std::to_string(i))
+            .ok())
+        << "acknowledged event " << i << " lost";
+  }
+  EXPECT_TRUE((*db)->Sync().ok());
 }
 
 }  // namespace

@@ -186,6 +186,52 @@ TEST_F(ServiceTest, EvictionClosesCleanlyAndReopenSeesEverything) {
   EXPECT_EQ(stats.committed, stats.enqueued);
 }
 
+TEST_F(ServiceTest, EvictionAndReopenLeaveSearchScoresUnchanged) {
+  ServiceOptions options = BaseOptions();
+  options.workers = 1;
+  options.max_live_handles = 1;  // every profile switch evicts
+  auto svc = ProvenanceService::Create("/p", options);
+  ASSERT_TRUE(svc.ok());
+
+  for (int i = 0; i < 4; ++i) {
+    capture::VisitEvent v = MakeVisit("alice", i);
+    if (i == 1) v.title = "rosebud flower garden";
+    ASSERT_TRUE((*svc)->Ingest("alice", v).ok());
+  }
+  // Url and total score of every hit, in rank order.
+  auto search = [&] {
+    std::vector<std::pair<std::string, double>> hits;
+    auto collect = [&](prov::ProvenanceDb::SnapshotView& view) {
+      auto result = view.Search("rosebud garden");
+      BP_RETURN_IF_ERROR(result.status());
+      for (const auto& page : result->pages) {
+        hits.emplace_back(page.url, page.total);
+      }
+      return util::Status::Ok();
+    };
+    EXPECT_TRUE((*svc)->WithSnapshot("alice", collect).ok());
+    return hits;
+  };
+  const auto fresh = search();
+  ASSERT_FALSE(fresh.empty());
+  EXPECT_EQ(fresh[0].first, UrlOf("alice", 1));
+
+  for (int round = 0; round < 3; ++round) {
+    // Ingesting into another profile evicts alice's handle; the next
+    // search reopens it.
+    ASSERT_TRUE((*svc)->Ingest("bob", MakeVisit("bob", round)).ok());
+    ASSERT_TRUE((*svc)->Drain().ok());
+    const auto again = search();
+    ASSERT_EQ(again.size(), fresh.size()) << "round " << round;
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(again[i].first, fresh[i].first) << "round " << round;
+      EXPECT_DOUBLE_EQ(again[i].second, fresh[i].second)
+          << "round " << round << " rank " << i;
+    }
+  }
+  EXPECT_GE((*svc)->Stats().reopens, 3u);
+}
+
 TEST_F(ServiceTest, SustainsMoreProfilesThanTheHandleCap) {
   ServiceOptions options = BaseOptions();
   options.workers = 2;
