@@ -149,8 +149,7 @@ struct FixtureOptions {
   storage::DurabilityMode durability = storage::DurabilityMode::kWal;
   uint32_t wal_group_commit = 8;
   size_t ingest_batch = 256;  // events per storage transaction
-  // Storage diet: kFast compresses checkpoint folds + demotes pool
-  // evictions to the compressed cold tier. Default follows
+  // Storage diet: kFast compresses checkpoint folds. Default follows
   // BP_COMPRESSION (so a compression-on CI lane exercises the benches
   // too); sweeps set it explicitly.
   storage::compress::CompressionOptions compression;

@@ -24,8 +24,8 @@ int main() {
   prov::ProvenanceDb::Options options;
   options.db.env = &env;
   //    Storage diet on: checkpoints compress page slots that clear the
-  //    ratio floor, and buffer-pool evictions demote into an in-memory
-  //    compressed cold tier. (Also reachable via BP_COMPRESSION=fast.)
+  //    ratio floor, and reads decode them before they enter the buffer
+  //    pool. (Also reachable via BP_COMPRESSION=fast.)
   options.db.compression.mode =
       storage::compress::CompressionOptions::Mode::kFast;
   auto db = prov::ProvenanceDb::Open("quickstart.db", options);
@@ -142,8 +142,7 @@ int main() {
       "storage\n"
       "  compression:   %llu pages squeezed %llu -> %llu bytes at "
       "checkpoint,\n"
-      "                 %llu decompress reads, %llu cold demotions, "
-      "%llu cold hits\n"
+      "                 %llu decompress reads\n"
       "  (per-query attribution rides in each result's QueryStats: %s)\n",
       (unsigned long long)stats.commits,
       (unsigned long long)stats.wal_frames,
@@ -158,8 +157,6 @@ int main() {
       (unsigned long long)stats.compressible_raw_bytes,
       (unsigned long long)stats.compressed_bytes,
       (unsigned long long)stats.decompress_reads,
-      (unsigned long long)stats.pool_cold_demotions,
-      (unsigned long long)stats.pool_cold_hits,
       live->stats.ToString().c_str());
   return 0;
 }

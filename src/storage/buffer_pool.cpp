@@ -1,6 +1,5 @@
 #include "storage/buffer_pool.hpp"
 
-#include "obs/metrics.hpp"
 #include "util/hash.hpp"
 #include "util/mutex.hpp"
 #include "util/require.hpp"
@@ -32,13 +31,7 @@ struct BufferPool::Shard {
   // not know its shard); the sentinel annotation plus the BP_REQUIRES
   // on every function that walks the list covers them in practice.
   Frame lru BP_GUARDED_BY(mu);  // sentinel: next = MRU, prev = coldest
-  // Cold tier: compressed demoted frames, same budget (shard.bytes
-  // counts hot + cold together; cold_bytes is the cold share).
-  std::unordered_map<PageImageKey, std::unique_ptr<ColdFrame>, KeyHash> cold
-      BP_GUARDED_BY(mu);
-  ColdFrame cold_lru BP_GUARDED_BY(mu);  // sentinel, same shape as lru
   uint64_t bytes BP_GUARDED_BY(mu) = 0;
-  uint64_t cold_bytes BP_GUARDED_BY(mu) = 0;
   // Counters too (stats() locks each shard in turn).
   uint64_t hits BP_GUARDED_BY(mu) = 0;
   uint64_t misses BP_GUARDED_BY(mu) = 0;
@@ -46,33 +39,17 @@ struct BufferPool::Shard {
   uint64_t reinserts BP_GUARDED_BY(mu) = 0;
   uint64_t evictions BP_GUARDED_BY(mu) = 0;
   uint64_t pinned_skips BP_GUARDED_BY(mu) = 0;
-  uint64_t cold_demotions BP_GUARDED_BY(mu) = 0;
-  uint64_t cold_hits BP_GUARDED_BY(mu) = 0;
-  uint64_t cold_evictions BP_GUARDED_BY(mu) = 0;
 
   Shard() {
     lru.prev = &lru;
     lru.next = &lru;
-    cold_lru.prev = &cold_lru;
-    cold_lru.next = &cold_lru;
   }
 };
 
-BufferPool::BufferPool(size_t byte_budget,
-                       compress::CompressionOptions compression)
+BufferPool::BufferPool(size_t byte_budget)
     : byte_budget_(byte_budget),
       shard_budget_(byte_budget / kShards),
-      compression_(compression),
-      shards_(new Shard[kShards]) {
-  if (compression_.enabled()) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    compress_us_ = reg.GetHistogram(
-        "bp_compress_us", "", "Cold-tier demotion compress latency (us)");
-    decompress_us_ = reg.GetHistogram(
-        "bp_decompress_us", "",
-        "Main-file compressed page frame decode latency (us)");
-  }
-}
+      shards_(new Shard[kShards]) {}
 
 BufferPool::~BufferPool() = default;
 
@@ -90,14 +67,11 @@ BufferPool::Shard& BufferPool::ShardFor(const PageImageKey& key) {
 // complete type — it never is at an in-class declaration.
 namespace {
 
-// Works on both node types (Frame and ColdFrame expose the same
-// prev/next shape).
-template <typename Node>
-void Unlink(Node* node) {
-  node->prev->next = node->next;
-  node->next->prev = node->prev;
-  node->prev = nullptr;
-  node->next = nullptr;
+void Unlink(BufferPool::Frame* frame) {
+  frame->prev->next = frame->next;
+  frame->next->prev = frame->prev;
+  frame->prev = nullptr;
+  frame->next = nullptr;
 }
 
 void LinkFront(BufferPool::Shard& shard, BufferPool::Frame* frame)
@@ -108,14 +82,6 @@ void LinkFront(BufferPool::Shard& shard, BufferPool::Frame* frame)
   shard.lru.next = frame;
 }
 
-void ColdLinkFront(BufferPool::Shard& shard, BufferPool::ColdFrame* frame)
-    BP_REQUIRES(shard.mu) {
-  frame->next = shard.cold_lru.next;
-  frame->prev = &shard.cold_lru;
-  shard.cold_lru.next->prev = frame;
-  shard.cold_lru.next = frame;
-}
-
 // Unlinks `frame` and relinks it at the MRU end.
 void Touch(BufferPool::Shard& shard, BufferPool::Frame* frame)
     BP_REQUIRES(shard.mu) {
@@ -123,35 +89,9 @@ void Touch(BufferPool::Shard& shard, BufferPool::Frame* frame)
   LinkFront(shard, frame);
 }
 
-// Ages out cold-tier frames, oldest first, until the shard is within
-// its budget slice AND the cold tier within its half-budget cap (well-
-// compressing workloads would otherwise fill the whole budget with
-// tiny cold frames and starve the hot tier down to nothing).
-// Unconditional: nothing outside the pool ever holds a cold frame, so
-// there is no pinned state to respect.
-void EvictColdUnderLock(BufferPool::Shard& shard, size_t shard_budget)
-    BP_REQUIRES(shard.mu) {
-  while (shard.bytes > shard_budget ||
-         shard.cold_bytes > shard_budget / 2) {
-    BufferPool::ColdFrame* victim = shard.cold_lru.prev;
-    if (victim == &shard.cold_lru) break;
-    shard.bytes -= victim->frame.size();
-    shard.cold_bytes -= victim->frame.size();
-    ++shard.cold_evictions;
-    Unlink(victim);
-    const PageImageKey victim_key = victim->key;
-    shard.cold.erase(victim_key);
-  }
-}
-
 // Evicts cold, unpinned frames until the shard is within its budget
-// slice. With compression on, an evicted frame that compresses well is
-// demoted into the cold tier instead of dropped (its compressed size
-// still counts against the budget; the ratio floor guarantees each
-// demotion is a net decrease, so the loop still converges).
-void EvictUnderLock(BufferPool::Shard& shard, size_t shard_budget,
-                    const compress::CompressionOptions& compression,
-                    obs::Histogram* compress_us)
+// slice.
+void EvictUnderLock(BufferPool::Shard& shard, size_t shard_budget)
     BP_REQUIRES(shard.mu) {
   // Walk from the cold end. Every step either evicts the frame or
   // re-warms a pinned one to the MRU end. Two bounds keep an insert
@@ -190,26 +130,8 @@ void EvictUnderLock(BufferPool::Shard& shard, size_t shard_budget,
     // Copy the key out: erase(const key_type&) must not be handed a
     // reference into the node it is destroying.
     const PageImageKey victim_key = victim->key;
-    if (compression.enabled() && shard.cold.count(victim_key) == 0) {
-      std::string cold_bytes;
-      {
-        obs::ScopedTimerUs timer(compress_us);
-        cold_bytes = compress::MaybeCompressPage(compression, *victim->data);
-      }
-      if (!cold_bytes.empty()) {
-        auto demoted = std::make_unique<BufferPool::ColdFrame>();
-        demoted->key = victim_key;
-        demoted->frame = std::move(cold_bytes);
-        shard.bytes += demoted->frame.size();
-        shard.cold_bytes += demoted->frame.size();
-        ++shard.cold_demotions;
-        ColdLinkFront(shard, demoted.get());
-        shard.cold.emplace(victim_key, std::move(demoted));
-      }
-    }
     shard.frames.erase(victim_key);
   }
-  EvictColdUnderLock(shard, shard_budget);
 }
 
 }  // namespace
@@ -224,41 +146,8 @@ std::shared_ptr<const std::string> BufferPool::Lookup(
     Touch(shard, it->second.get());
     return it->second->data;
   }
-  auto cold_it = shard.cold.find(key);
-  if (cold_it == shard.cold.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  // Cold hit: decompress on pin and promote back to the hot tier.
-  std::string raw;
-  util::Status decoded;
-  {
-    obs::ScopedTimerUs timer(decompress_us_);
-    decoded = compress::Decompress(cold_it->second->frame, &raw);
-  }
-  shard.bytes -= cold_it->second->frame.size();
-  shard.cold_bytes -= cold_it->second->frame.size();
-  Unlink(cold_it->second.get());
-  shard.cold.erase(cold_it);
-  if (!decoded.ok() || raw.size() != kPageSize) {
-    // The checksum no longer verifies (in-memory corruption after
-    // demotion). The image is a pure cache of durable bytes, so drop it
-    // and report a miss — the caller re-reads the authoritative copy.
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.cold_hits;
-  auto frame = std::make_unique<Frame>();
-  frame->key = key;
-  frame->data = std::make_shared<const std::string>(std::move(raw));
-  shard.bytes += frame->data->size();
-  LinkFront(shard, frame.get());
-  std::shared_ptr<const std::string> out = frame->data;
-  shard.frames.emplace(key, std::move(frame));
-  // `out` keeps the promoted frame's use_count above 1, so the scan
-  // below sees it pinned and cannot evict what it just rebuilt.
-  EvictUnderLock(shard, shard_budget_, compression_, compress_us_);
-  return out;
+  ++shard.misses;
+  return nullptr;
 }
 
 std::shared_ptr<const std::string> BufferPool::Insert(
@@ -284,7 +173,7 @@ std::shared_ptr<const std::string> BufferPool::Insert(
   LinkFront(shard, frame.get());
   std::shared_ptr<const std::string> out = frame->data;
   shard.frames.emplace(key, std::move(frame));
-  EvictUnderLock(shard, shard_budget_, compression_, compress_us_);
+  EvictUnderLock(shard, shard_budget_);
   return out;
 }
 
@@ -308,19 +197,6 @@ uint64_t BufferPool::DropOwner(uint32_t owner) {
       it = shard.frames.erase(it);
       ++dropped;
     }
-    for (auto it = shard.cold.begin(); it != shard.cold.end();) {
-      // Cold frames are never pinned, so the owner's can all go.
-      if (it->second->key.owner != owner) {
-        ++it;
-        continue;
-      }
-      shard.bytes -= it->second->frame.size();
-      shard.cold_bytes -= it->second->frame.size();
-      ++shard.cold_evictions;
-      Unlink(it->second.get());
-      it = shard.cold.erase(it);
-      ++dropped;
-    }
   }
   return dropped;
 }
@@ -338,11 +214,6 @@ BufferPoolStats BufferPool::stats() const {
     out.pinned_skips += shard.pinned_skips;
     out.bytes += shard.bytes;
     out.frames += shard.frames.size();
-    out.cold_demotions += shard.cold_demotions;
-    out.cold_hits += shard.cold_hits;
-    out.cold_evictions += shard.cold_evictions;
-    out.cold_bytes += shard.cold_bytes;
-    out.cold_frames += shard.cold.size();
     for (const auto& [key, frame] : shard.frames) {
       if (frame->data.use_count() > 1) out.pinned_bytes += frame->data->size();
     }

@@ -41,17 +41,12 @@
 // image stays alive and immutable for as long as any reader holds it —
 // eviction only forgets, it never frees in-use bytes.
 //
-// Cold tier (compression=fast): instead of forgetting outright, an
-// evicted frame that compresses well demotes into an in-memory COLD
-// TIER of compressed frames, living inside the same byte budget
-// (compressed frames count their compressed size). A pool miss checks
-// the cold tier and decompresses on pin — turning what would have been
-// a device read (tens of µs on the modeled flash device) into a ~1µs
-// decode — then promotes the frame back to the hot tier. Cold frames
-// have no readers holding them, so cold eviction (when even compressed
-// bytes exceed the budget) is unconditional, oldest first; the cold
-// share is additionally capped at half each shard's budget so a well-
-// compressing workload cannot starve the hot tier.
+// There is no second, compressed tier behind the LRU: an evicted frame
+// is forgotten, and the next miss re-reads the log or the database
+// file. On real files the OS page cache already holds the (possibly
+// compressed) checkpoint slots, so keeping compressed copies here would
+// save nothing over re-reading a slot, while compressing each victim
+// under the shard lock would cost a page compression per eviction.
 #pragma once
 
 #include <array>
@@ -64,10 +59,6 @@
 
 #include "storage/compress.hpp"
 #include "storage/page.hpp"
-
-namespace bp::obs {
-class Histogram;
-}  // namespace bp::obs
 
 namespace bp::storage {
 
@@ -102,26 +93,22 @@ struct BufferPoolStats {
   // by stats() with an O(frames) walk, so it is a dump-time number,
   // not a hot-path counter.
   uint64_t pinned_bytes = 0;
-  // Compressed cold tier (all zero with compression off). Cold bytes
-  // are counted inside `bytes` (one budget); `frames` counts the hot
-  // tier only.
-  uint64_t cold_demotions = 0;  // evictions demoted instead of dropped
-  uint64_t cold_hits = 0;       // misses rescued by a cold decompress
-  uint64_t cold_evictions = 0;  // cold frames aged out entirely
-  uint64_t cold_bytes = 0;      // resident compressed bytes right now
-  uint64_t cold_frames = 0;     // resident cold frames right now
+  // Always 0: compatibility stub for perfbench (see the stub block in
+  // storage/pager.hpp). Remove with the next benchmark change.
+  uint64_t cold_demotions = 0;
+  uint64_t cold_hits = 0;
 };
 
 class BufferPool {
  public:
   // `byte_budget` caps resident image bytes pool-wide (soft while
-  // pinned frames exceed it), hot + cold tier together. Shard count is
-  // fixed at kShards. `compression` drives the cold tier: with
-  // mode=kFast, evictions demote into compressed frames (see the file
-  // header); the default reads BP_COMPRESSION, unset meaning off.
-  explicit BufferPool(size_t byte_budget,
-                      compress::CompressionOptions compression =
-                          compress::CompressionOptions{});
+  // pinned frames exceed it). Shard count is fixed at kShards.
+  explicit BufferPool(size_t byte_budget);
+  // Compatibility stub for perfbench (see the stub block in
+  // storage/pager.hpp): the options are ignored. Remove with the next
+  // benchmark change.
+  BufferPool(size_t byte_budget, compress::CompressionOptions /*ignored*/)
+      : BufferPool(byte_budget) {}
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -168,14 +155,6 @@ class BufferPool {
     Frame* prev = nullptr;  // intrusive LRU list; head = MRU
     Frame* next = nullptr;
   };
-  // A demoted frame: the compressed bytes, owned outright — nothing
-  // outside the pool ever references a cold frame.
-  struct ColdFrame {
-    PageImageKey key;
-    std::string frame;  // self-describing compressed frame
-    ColdFrame* prev = nullptr;  // cold-tier LRU; head = MRU
-    ColdFrame* next = nullptr;
-  };
   struct Shard;
 
  private:
@@ -183,10 +162,6 @@ class BufferPool {
 
   const size_t byte_budget_;
   const size_t shard_budget_;
-  const compress::CompressionOptions compression_;
-  // Process-wide codec latency distributions (null = obs off).
-  obs::Histogram* compress_us_ = nullptr;
-  obs::Histogram* decompress_us_ = nullptr;
   std::unique_ptr<Shard[]> shards_;
 };
 

@@ -34,7 +34,6 @@ Result<std::unique_ptr<Db>> Db::Open(const std::string& path,
   popts.wal_checkpoint_bytes = options.wal_checkpoint_bytes;
   popts.pool_bytes = options.pool_bytes;
   popts.buffer_pool = options.buffer_pool;
-  popts.pool_publish_on_commit = options.pool_publish_on_commit;
   popts.compression = options.compression;
   BP_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager,
                       Pager::Open(path, popts));

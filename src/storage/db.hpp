@@ -30,10 +30,9 @@ struct DbOptions {
   // joins an existing pool so several databases share one byte budget.
   size_t pool_bytes = 32 << 20;
   std::shared_ptr<BufferPool> buffer_pool;
-  bool pool_publish_on_commit = true;
   // Storage diet (see PagerOptions::compression): mode=kFast compresses
-  // eligible pages at checkpoint and demotes pool evictions into a
-  // compressed cold tier. Defaults from BP_COMPRESSION; unset = off.
+  // eligible pages at checkpoint. Defaults from BP_COMPRESSION; unset
+  // means off.
   compress::CompressionOptions compression;
 };
 

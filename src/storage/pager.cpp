@@ -125,10 +125,7 @@ Result<std::unique_ptr<Pager>> Pager::Open(std::string path,
     if (options.buffer_pool != nullptr) {
       pager->pool_ = options.buffer_pool;
     } else if (options.pool_bytes > 0) {
-      // The pager's compression options drive the pool's cold tier too
-      // (an injected shared pool keeps whatever its creator chose).
-      pager->pool_ = std::make_shared<BufferPool>(options.pool_bytes,
-                                                  options.compression);
+      pager->pool_ = std::make_shared<BufferPool>(options.pool_bytes);
     }
     if (pager->pool_ != nullptr) {
       pager->pool_owner_ = BufferPool::NextOwnerId();
@@ -696,7 +693,7 @@ Status Pager::CommitViaWal(const std::vector<internal::Frame*>& dirty) {
   // snapshot readers (and repeated one-shot queries) hit hot pages —
   // tree roots, the catalog — without ever touching the log.
   // `offsets` and `dirty` are index-aligned (built by the same loop).
-  if (pool_ != nullptr && options_.pool_publish_on_commit) {
+  if (pool_ != nullptr) {
     for (size_t i = 0; i < dirty.size(); ++i) {
       PublishToPool(PageImageKey{pool_owner_, offsets[i].first, generation_,
                                  offsets[i].second},
@@ -1018,11 +1015,6 @@ PagerStats Pager::stats() const {
     out.pool_bytes = pool.bytes;
     out.pool_frames = pool.frames;
     out.pool_pinned_bytes = pool.pinned_bytes;
-    out.pool_cold_demotions = pool.cold_demotions;
-    out.pool_cold_hits = pool.cold_hits;
-    out.pool_cold_evictions = pool.cold_evictions;
-    out.pool_cold_bytes = pool.cold_bytes;
-    out.pool_cold_frames = pool.cold_frames;
   }
   {
     util::MutexLock lock(commit_mu_);
@@ -1090,18 +1082,6 @@ void Pager::CollectMetrics(obs::CollectionSink& sink) const {
     gauge("bp_pool_pinned_bytes",
           "Pool bytes pinned by live readers (un-evictable floor)",
           s.pool_pinned_bytes);
-    counter("bp_pool_cold_demotions",
-            "Pool evictions demoted into the compressed cold tier",
-            s.pool_cold_demotions);
-    counter("bp_pool_cold_hits",
-            "Pool misses rescued by decompressing a cold frame",
-            s.pool_cold_hits);
-    counter("bp_pool_cold_evictions", "Cold-tier frames aged out",
-            s.pool_cold_evictions);
-    gauge("bp_pool_cold_bytes", "Resident cold-tier (compressed) bytes",
-          s.pool_cold_bytes);
-    gauge("bp_pool_cold_frames", "Resident cold-tier frames",
-          s.pool_cold_frames);
   }
 }
 

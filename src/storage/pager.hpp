@@ -118,22 +118,20 @@ struct PagerOptions {
   // snapshots + the live pager; see storage/buffer_pool.hpp). Replaces
   // the per-snapshot soft caps. 0 disables the pool: snapshots fall
   // back to a private copy-on-read cache capped at cache_pages, and
-  // live misses always hit the log/database file.
+  // live misses always hit the log/database file. In WAL mode every
+  // commit publishes its page images into the pool as they are logged,
+  // so reader misses on hot, freshly written pages (tree roots, the
+  // catalog) disappear.
   size_t pool_bytes = 32 << 20;
   // When set, this pager joins an existing pool (several databases
   // sharing one global byte budget) instead of creating its own from
   // pool_bytes. Keys carry a per-pager owner id, so pagers never alias.
   std::shared_ptr<BufferPool> buffer_pool;
-  // kWal only: publish each commit's page images into the pool as they
-  // are logged, so reader misses on hot, freshly written pages (tree
-  // roots, the catalog) disappear. Costs one page copy per dirty page
-  // per commit; turn off for write-only workloads.
-  bool pool_publish_on_commit = true;
   // Page compression (see storage/compress.hpp). With mode=kFast,
   // checkpoints fold eligible pages into compressed frames (the WAL hot
-  // path stays raw), and the buffer pool demotes evicted frames into a
-  // compressed cold tier. Default mode comes from the BP_COMPRESSION
-  // environment variable; unset means off.
+  // path stays raw); reads decode them before they enter the pool, so
+  // pool images are always raw pages. Default mode comes from the
+  // BP_COMPRESSION environment variable; unset means off.
   compress::CompressionOptions compression;
 };
 
@@ -169,9 +167,6 @@ struct PagerStats {
   // at checkpoint/close. fsyncs / group_commits is the amortization the
   // window actually achieved.
   uint64_t group_commits = 0;
-  // Always 0: compatibility stub for perfbench/src/harness.cpp (see
-  // DomainStats below). Remove with the next benchmark change.
-  uint64_t fsync_overlaps = 0;
   // Shared buffer pool, aggregated over every consumer of the pool this
   // pager belongs to (snapshots, the live read path, and — when
   // PagerOptions::buffer_pool is shared — other pagers). All zero when
@@ -183,15 +178,6 @@ struct PagerStats {
   uint64_t pool_frames = 0;  // resident frames right now
   // Pool bytes currently pinned by live readers (see BufferPoolStats).
   uint64_t pool_pinned_bytes = 0;
-  // Compressed cold tier of the pool (all zero with compression off):
-  // evictions demoted into compressed frames, pool misses rescued by
-  // decompressing a cold frame, cold frames aged out entirely, and the
-  // tier's resident footprint (counted inside pool_bytes' budget).
-  uint64_t pool_cold_demotions = 0;
-  uint64_t pool_cold_hits = 0;
-  uint64_t pool_cold_evictions = 0;
-  uint64_t pool_cold_bytes = 0;
-  uint64_t pool_cold_frames = 0;
   // Checkpoint compression (compression=fast): pages folded as
   // compressed frames, the physical frame bytes written for them, the
   // raw bytes those frames replace, and reads (live + snapshot) that
@@ -207,13 +193,25 @@ struct PagerStats {
   uint64_t snapshot_pages_read = 0;
   uint64_t snapshot_cache_hits = 0;
   uint64_t snapshot_pool_hits = 0;
+  // Always 0: compatibility stub for perfbench (see below).
+  uint64_t fsync_overlaps = 0;
+  uint64_t pool_cold_demotions = 0;
+  uint64_t pool_cold_hits = 0;
 };
 
-// Compatibility stub for perfbench/src/harness.cpp, which was written
-// against a two-stream WAL and reads Pager::domain_stats(d) for
-// d in {kGraphDomain, kTextDomain}. The WAL has one stream: domain 0
-// reports it and domain 1 reads 0. Nothing in src/, tests/ or bench/
-// uses these names; remove them with the next benchmark change.
+// Compatibility stub for perfbench/src/{harness,profiles}.cpp, which
+// were written against a two-stream WAL and a buffer pool with a
+// compressed cold tier, both since deleted. Nothing in src/, tests/ or
+// bench/ uses these names; remove all of them with the next benchmark
+// change:
+//   - WriteDomain, kGraphDomain, kTextDomain, DomainStats and
+//     Pager::domain_stats(d): the WAL has one stream; domain 0 reports
+//     it and domain 1 reads 0;
+//   - PagerStats::fsync_overlaps, pool_cold_demotions and
+//     pool_cold_hits, and BufferPoolStats::cold_demotions and
+//     cold_hits: always 0;
+//   - BufferPool(size_t, compress::CompressionOptions): the options are
+//     ignored.
 using WriteDomain = uint32_t;
 inline constexpr WriteDomain kGraphDomain = 0;
 inline constexpr WriteDomain kTextDomain = 1;

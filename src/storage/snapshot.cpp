@@ -78,8 +78,8 @@ Result<std::shared_ptr<const std::string>> Snapshot::ReadPage(
                             page.get()));
     // Checkpointed slots may hold a compressed frame (self-describing,
     // checksummed — storage/compress.hpp). Decode BEFORE memoizing or
-    // publishing: pool images are always raw pages (the pool compresses
-    // into its own cold tier), and the writer trusts pooled images.
+    // publishing: pool images are always raw pages, and the writer
+    // trusts pooled images.
     if (compress::LooksLikeFrame(*page)) {
       obs::ScopedTimerUs decode_timer(pager_->decompress_latency_us_);
       std::string raw;

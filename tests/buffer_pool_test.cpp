@@ -20,30 +20,6 @@ std::shared_ptr<const std::string> Image(char fill) {
   return std::make_shared<const std::string>(kPageSize, fill);
 }
 
-compress::CompressionOptions Mode(compress::CompressionOptions::Mode mode) {
-  compress::CompressionOptions options;
-  options.mode = mode;
-  return options;
-}
-
-compress::CompressionOptions Off() {
-  return Mode(compress::CompressionOptions::Mode::kOff);
-}
-
-compress::CompressionOptions Fast() {
-  return Mode(compress::CompressionOptions::Mode::kFast);
-}
-
-// Compressible but distinct per id: a repeating tag the LZ matcher eats,
-// with the id stamped at both ends so promoted bytes are checkable.
-std::shared_ptr<const std::string> TaggedImage(PageId id) {
-  const char tag = static_cast<char>('A' + id % 26);
-  std::string page(kPageSize, tag);
-  page.front() = static_cast<char>(id);
-  page.back() = static_cast<char>(id * 7);
-  return std::make_shared<const std::string>(std::move(page));
-}
-
 PageImageKey Key(PageId id, uint64_t offset = kMainFileImage,
                  uint32_t generation = 0) {
   return PageImageKey{/*owner=*/1, id, generation, offset};
@@ -134,10 +110,8 @@ TEST(BufferPoolTest, PinnedFramesAreNeverEvicted) {
 }
 
 TEST(BufferPoolTest, ReleasedFramesBecomeEvictable) {
-  // Compression pinned off: this test asserts eviction FORGETS, and the
-  // cold tier exists precisely to remember (covered separately below).
   const size_t budget = BufferPool::kShards * 2 * kPageSize;
-  BufferPool pool(budget, Off());
+  BufferPool pool(budget);
   auto pinned = pool.Insert(Key(1, 10), Image('p'));
   pinned.reset();  // unpin
   for (PageId id = 2; id <= 200; ++id) {
@@ -209,155 +183,6 @@ TEST(BufferPoolTest, ConcurrentMixedTrafficKeepsImagesIntact) {
   EXPECT_EQ(bad.load(), 0u);
   BufferPoolStats stats = pool.stats();
   EXPECT_GT(stats.hits, 0u);
-  EXPECT_LE(stats.bytes, budget);
-}
-
-TEST(BufferPoolTest, ColdTierDemotesAndPromotesOnLookup) {
-  // Thrash one shard's keyspace past a tiny budget with compressible
-  // images: evictions must demote into the cold tier, and a lookup of a
-  // demoted key must decompress back the exact bytes and re-warm them.
-  const size_t budget = BufferPool::kShards * 4 * kPageSize;
-  BufferPool pool(budget, Fast());
-  for (PageId id = 1; id <= 128; ++id) {
-    (void)pool.Insert(Key(id, id), TaggedImage(id));
-  }
-  BufferPoolStats stats = pool.stats();
-  EXPECT_GT(stats.cold_demotions, 0u);
-  EXPECT_GT(stats.cold_frames, 0u);
-  EXPECT_LE(stats.bytes, budget);
-
-  // Find a demoted key (not hot, still cold) and pin it back.
-  bool promoted = false;
-  for (PageId id = 128; id >= 1 && !promoted; --id) {
-    BufferPoolStats before = pool.stats();
-    auto hit = pool.Lookup(Key(id, id));
-    BufferPoolStats after = pool.stats();
-    if (after.cold_hits == before.cold_hits + 1) {
-      promoted = true;
-      ASSERT_NE(hit, nullptr);
-      EXPECT_EQ(*hit, *TaggedImage(id));
-      // Promoted: the same key is now a plain hot hit.
-      auto again = pool.Lookup(Key(id, id));
-      ASSERT_NE(again, nullptr);
-      EXPECT_EQ(again.get(), hit.get());
-      EXPECT_EQ(pool.stats().cold_hits, after.cold_hits);
-    }
-  }
-  EXPECT_TRUE(promoted);
-}
-
-TEST(BufferPoolTest, ColdTierHoldsBudgetAndCap) {
-  // Even under sustained churn the invariants hold: total bytes within
-  // the budget, and the cold share within half of it (the cap that
-  // keeps tiny compressed frames from starving the hot tier).
-  const size_t budget = BufferPool::kShards * 4 * kPageSize;
-  // Enough churn that even tiny (~100-byte) compressed frames overflow
-  // the per-shard cold cap and force cold evictions.
-  BufferPool pool(budget, Fast());
-  for (PageId id = 1; id <= 16384; ++id) {
-    (void)pool.Insert(Key(id, id), TaggedImage(id));
-  }
-  BufferPoolStats stats = pool.stats();
-  EXPECT_GT(stats.cold_demotions, 0u);
-  EXPECT_GT(stats.cold_evictions, 0u);
-  EXPECT_LE(stats.bytes, budget);
-  EXPECT_LE(stats.cold_bytes, budget / 2);
-  // cold_bytes is counted inside bytes; frames counts hot only.
-  EXPECT_GE(stats.bytes, stats.cold_bytes);
-}
-
-TEST(BufferPoolTest, IncompressiblePagesAreDroppedNotDemoted) {
-  // Images that fail the ratio floor (pseudo-random bytes) must fall
-  // back to plain forget-eviction, never a cold frame that would waste
-  // budget on incompressible payloads plus header.
-  const size_t budget = BufferPool::kShards * 2 * kPageSize;
-  BufferPool pool(budget, Fast());
-  uint64_t x = 0x9e3779b97f4a7c15ull;
-  for (PageId id = 1; id <= 96; ++id) {
-    std::string page(kPageSize, '\0');
-    for (size_t i = 0; i < page.size(); ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      page[i] = static_cast<char>(x);
-    }
-    (void)pool.Insert(Key(id, id),
-                      std::make_shared<const std::string>(std::move(page)));
-  }
-  BufferPoolStats stats = pool.stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(stats.cold_demotions, 0u);
-  EXPECT_EQ(stats.cold_frames, 0u);
-  EXPECT_EQ(stats.cold_bytes, 0u);
-}
-
-TEST(BufferPoolTest, ColdTierDisabledIsTrulyOff) {
-  // compression=off must leave zero trace of the cold tier: no
-  // demotions, no cold bytes, no cold hits — the PR's zero-cost-when-
-  // disabled contract for the pool half of the diet.
-  const size_t budget = BufferPool::kShards * 2 * kPageSize;
-  BufferPool pool(budget, Off());
-  for (PageId id = 1; id <= 256; ++id) {
-    (void)pool.Insert(Key(id, id), TaggedImage(id));
-  }
-  for (PageId id = 1; id <= 256; ++id) {
-    (void)pool.Lookup(Key(id, id));
-  }
-  BufferPoolStats stats = pool.stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(stats.cold_demotions, 0u);
-  EXPECT_EQ(stats.cold_hits, 0u);
-  EXPECT_EQ(stats.cold_frames, 0u);
-  EXPECT_EQ(stats.cold_bytes, 0u);
-}
-
-TEST(BufferPoolTest, DropOwnerAlsoClearsColdFrames) {
-  // A closing pager's cold frames must not squat on the shared budget:
-  // DropOwner clears them (they are never pinned, so unconditionally).
-  const size_t budget = BufferPool::kShards * 4 * kPageSize;
-  BufferPool pool(budget, Fast());
-  for (PageId id = 1; id <= 128; ++id) {
-    (void)pool.Insert(Key(id, id), TaggedImage(id));
-  }
-  ASSERT_GT(pool.stats().cold_frames, 0u);
-  EXPECT_GT(pool.DropOwner(1), 0u);
-  BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.cold_frames, 0u);
-  EXPECT_EQ(stats.cold_bytes, 0u);
-  EXPECT_EQ(stats.frames, 0u);
-}
-
-TEST(BufferPoolTest, ConcurrentColdTierTrafficKeepsImagesIntact) {
-  // The mixed-traffic hammer with the cold tier live: demotions,
-  // promotions, and cold evictions racing across 8 threads must never
-  // surface torn or wrong bytes. (Runs under TSan in CI.)
-  const size_t budget = BufferPool::kShards * 2 * kPageSize;
-  BufferPool pool(budget, Fast());
-  constexpr int kThreads = 8;
-  constexpr int kOpsPerThread = 4000;
-  std::vector<std::thread> workers;
-  std::atomic<uint64_t> bad{0};
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        PageId id = static_cast<PageId>(1 + (i * (t + 1)) % 97);
-        PageImageKey key = Key(id, uint64_t{id} * 8);
-        std::shared_ptr<const std::string> image = pool.Lookup(key);
-        if (image == nullptr) image = pool.Insert(key, TaggedImage(id));
-        const auto expect = TaggedImage(id);
-        if (image->size() != kPageSize ||
-            image->front() != expect->front() ||
-            image->back() != expect->back()) {
-          bad.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(bad.load(), 0u);
-  BufferPoolStats stats = pool.stats();
-  EXPECT_GT(stats.cold_demotions, 0u);
-  EXPECT_GT(stats.cold_hits, 0u);
   EXPECT_LE(stats.bytes, budget);
 }
 

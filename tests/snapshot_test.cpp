@@ -171,18 +171,23 @@ TEST_F(SnapshotTest, SnapshotDecodesCompressedSlotsBeforePooling) {
   // checkpoint frame into the shared pool. Pool images must always be
   // raw pages — the writer's FetchFrame trusts them — so the poisoned
   // entry surfaced as a corrupt interior page on the writer's next
-  // descent through an evicted page.
+  // descent through an evicted page. The pool holds two pages per
+  // shard, so the reads below run under constant eviction, and an
+  // evicted image must leave the pool entirely: what stays resident is
+  // whole raw pages only.
   DbOptions opts;
   opts.env = &env_;
   opts.sync = false;
   opts.durability = DurabilityMode::kWal;
   opts.compression.mode = compress::CompressionOptions::Mode::kFast;
   opts.cache_pages = 8;  // force writer cache misses onto the pool
+  opts.pool_bytes = BufferPool::kShards * 2 * kPageSize;
+  constexpr uint64_t kRows = 2000;  // far more pages than the pool holds
   auto db = Db::Open("snapcomp.db", opts);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   BTree* tree = *(*db)->OpenOrCreateTree("t");
   ASSERT_TRUE((*db)->Begin().ok());
-  for (uint64_t id = 0; id < 400; ++id) {
+  for (uint64_t id = 0; id < kRows; ++id) {
     // Compressible URL-shaped values so the fold compresses the tree.
     ASSERT_TRUE(tree->Put(util::OrderedKeyU64(id),
                           util::StrFormat(
@@ -200,18 +205,22 @@ TEST_F(SnapshotTest, SnapshotDecodesCompressedSlotsBeforePooling) {
     auto snap = (*db)->BeginRead();
     ASSERT_TRUE(snap.ok());
     BTree frozen = tree->BoundAt(**snap);
-    for (uint64_t id = 0; id < 400; ++id) {
+    for (uint64_t id = 0; id < kRows; ++id) {
       auto got = frozen.Get(util::OrderedKeyU64(id));
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ASSERT_NE(got->find("example.com"), std::string::npos);
+      ASSERT_EQ(*got, util::StrFormat("https://example.com/page/%04llu/section",
+                                      (unsigned long long)id));
     }
   }
   // The writer (cache of 8 pages, long since evicted) now resolves its
   // descent through the images the snapshot published.
-  EXPECT_EQ(*tree->Count(), 400u);
+  EXPECT_EQ(*tree->Count(), kRows);
   EXPECT_EQ(*tree->Get(util::OrderedKeyU64(7)),
             "https://example.com/page/0007/section");
   EXPECT_GT((*db)->pager().stats().decompress_reads, 0u);
+  const BufferPoolStats pool = (*db)->pager().buffer_pool()->stats();
+  EXPECT_GT(pool.evictions, 0u);
+  EXPECT_EQ(pool.bytes, pool.frames * kPageSize);
 }
 
 TEST_F(SnapshotTest, AutomaticCheckpointDefersWhileSnapshotLive) {
