@@ -4,33 +4,27 @@
 // writing while history search and forensics read. The old engine was
 // strictly single-threaded, so every query waited behind the in-flight
 // capture batch (and stalled the next one). This bench measures what
-// the snapshot read path buys, and what the shared buffer pool adds on
-// top of it. Both cache designs run the IDENTICAL phase sequence on
-// their own fresh database (serialized pre, reader sweep, serialized
-// post), so the numbers at each reader count are directly comparable:
+// the snapshot read path buys. One database runs the phase sequence
+// serialized pre, reader sweep, one-shot sweep, serialized post:
 //
 //   serialized baseline — one thread alternates one 1024-event capture
 //   batch with one contextual search (the single-threaded engine's
 //   admission pattern under sustained capture: a query waits for the
 //   batch, the next batch waits for the query);
 //
-//   private caches (pool_bytes = 0) — N reader threads run contextual
-//   searches against snapshot views (each refreshes its view every 16
-//   queries) while a dedicated writer ingests continuously; every view
-//   carries its own copy-on-read cache, so each refresh cold-reads the
-//   working set and readers hold duplicate copies of identical page
-//   images (the pre-pool engine);
+//   snapshot readers — N reader threads run contextual searches
+//   against snapshot views (each refreshes its view every 16 queries)
+//   while a dedicated writer ingests continuously. Views share one set
+//   of buffer-pool frames keyed by page image identity, the writer
+//   publishes committed pages at commit, and refreshes re-warm from the
+//   pool instead of re-copying;
 //
-//   shared pool — the same sweep with the versioned buffer pool: views
-//   share one set of frames keyed by page image identity, the writer
-//   publishes committed pages at commit, refreshes re-warm from the
-//   pool instead of re-copying, and memory stays deduplicated no
-//   matter how many readers run.
+//   one-shot readers — N threads fire TraceDownload one-shots against
+//   a paced capture stream with cache-cold reads charged device time.
 //
-// Reported: aggregate read throughput at 1/2/4/8 readers for both
-// designs, the pool-over-private ratio (acceptance at 4 readers:
-// >= 1.5x), the drift-corrected serialized-baseline speedup, and the
-// pool's hit/miss counters.
+// Reported: aggregate read throughput at 1/2/4/8 readers, the
+// drift-corrected serialized-baseline speedup, and the pool's
+// hit/miss counters.
 #include <atomic>
 #include <cmath>
 #include <chrono>
@@ -81,11 +75,10 @@ int main(int argc, char** argv) {
   // snapshot readers keep running through it — which is half the point.
   constexpr auto kModeledSync = std::chrono::milliseconds(2);
 
-  struct ConfigResult {
+  struct SweepResult {
     std::vector<std::pair<int, double>> qps_by_readers;
     double qps_at_4 = 0;
     std::vector<std::pair<int, double>> oneshot_by_readers;
-    double oneshot_at_4 = 0;
     double serialized_qps = 0;  // geomean of pre/post
     storage::PagerStats stats;
   };
@@ -95,12 +88,12 @@ int main(int argc, char** argv) {
   // the cost the buffer pool removes.
   constexpr uint32_t kColdReadUs = 20;
 
-  auto run_config = [&](const char* label, size_t pool_bytes) {
-    storage::MemEnv env;  // fresh world per configuration
+  auto run_sweep = [&] {
+    storage::MemEnv env;
     prov::ProvenanceDb::Options options;
     options.db.env = &env;
     options.db.sync = false;  // measuring CPU/concurrency, not fsync
-    options.db.pool_bytes = pool_bytes;
+    options.db.pool_bytes = size_t{64} << 20;
     // The one-shot sweep queries run against whatever has committed
     // (no read-your-writes drain): its readers are other threads with
     // no tickets of their own to wait for.
@@ -147,13 +140,12 @@ int main(int argc, char** argv) {
       }
       const double s = watch.ElapsedMs() / 1000.0;
       const double qps = static_cast<double>(reads) / s;
-      Row("%s, serialized (%s):   %7.1f reads/s  %9.0f events/s",
-          label, phase, qps,
+      Row("serialized (%s):   %7.1f reads/s  %9.0f events/s", phase, qps,
           static_cast<double>(batches) * kBatchEvents / s);
       return qps;
     };
 
-    ConfigResult result;
+    SweepResult result;
     const double baseline_first = measure_serialized("pre ");
     for (int readers : {1, 2, 4, 8}) {
       std::atomic<bool> stop{false};
@@ -205,15 +197,14 @@ int main(int argc, char** argv) {
       const double eps = static_cast<double>(batches) * kBatchEvents / s;
       if (readers == 4) result.qps_at_4 = qps;
       result.qps_by_readers.emplace_back(readers, qps);
-      Row("%s, %d reader thread%s: %7.1f reads/s  %9.0f events/s",
-          label, readers, readers == 1 ? " " : "s", qps, eps);
+      Row("%d reader thread%s: %7.1f reads/s  %9.0f events/s", readers,
+          readers == 1 ? " " : "s", qps, eps);
     }
     // One-shot forensics sweep: N threads fire TraceDownload one-shots
     // (fresh snapshot per call — the facade's cross-thread default)
     // against a live paced capture stream, with cache-cold page reads
-    // charged kColdReadUs of device time. The per-snapshot-cache design
-    // re-reads each query's working set at device price every time; the
-    // shared pool pays it once. The writer is paced (IngestAsync at a
+    // charged kColdReadUs of device time; the shared pool pays each
+    // page's device price once. The writer is paced (IngestAsync at a
     // browsing-burst rate, committed by the pipeline's own thread)
     // rather than flat-out: a firehose writer measures lock handoff,
     // not the read path.
@@ -263,10 +254,9 @@ int main(int argc, char** argv) {
         BP_CHECK(read_errors.load() == 0, "one-shot queries failed");
         const double qps =
             static_cast<double>(reads.load()) / (watch.ElapsedMs() / 1000.0);
-        if (readers == 4) result.oneshot_at_4 = qps;
         result.oneshot_by_readers.emplace_back(readers, qps);
-        Row("%s, %d one-shot reader%s: %7.1f reads/s",
-            label, readers, readers == 1 ? " " : "s", qps);
+        Row("%d one-shot reader%s: %7.1f reads/s", readers,
+            readers == 1 ? " " : "s", qps);
       }
       env.set_read_cost_us(0);
       MustOk(db->Drain(), "drain paced ingest");
@@ -279,85 +269,46 @@ int main(int argc, char** argv) {
   };
 
   Blank();
-  ConfigResult private_caches = run_config("private caches", 0);
-  Blank();
-  ConfigResult pooled = run_config("shared pool   ", size_t{64} << 20);
+  const SweepResult sweep = run_sweep();
 
-  for (const auto& [readers, qps] : private_caches.qps_by_readers) {
-    Metric(util::StrFormat("private_qps_threads_%d", readers), qps);
-  }
-  for (const auto& [readers, qps] : pooled.qps_by_readers) {
+  for (const auto& [readers, qps] : sweep.qps_by_readers) {
     Metric(util::StrFormat("qps_threads_%d", readers), qps);
   }
-  for (const auto& [readers, qps] : private_caches.oneshot_by_readers) {
-    Metric(util::StrFormat("private_oneshot_qps_threads_%d", readers), qps);
-  }
-  for (const auto& [readers, qps] : pooled.oneshot_by_readers) {
+  for (const auto& [readers, qps] : sweep.oneshot_by_readers) {
     Metric(util::StrFormat("oneshot_qps_threads_%d", readers), qps);
   }
-  Metric("baseline_serialized_qps", pooled.serialized_qps);
+  Metric("baseline_serialized_qps", sweep.serialized_qps);
 
   Blank();
   Row("pool: %llu hits, %llu misses, %llu evictions, %llu frames "
       "(%llu KiB) resident",
-      (unsigned long long)pooled.stats.pool_hits,
-      (unsigned long long)pooled.stats.pool_misses,
-      (unsigned long long)pooled.stats.pool_evictions,
-      (unsigned long long)pooled.stats.pool_frames,
-      (unsigned long long)(pooled.stats.pool_bytes / 1024));
-  Metric("pool_hits", static_cast<double>(pooled.stats.pool_hits));
-  Metric("pool_misses", static_cast<double>(pooled.stats.pool_misses));
-  Metric("pool_evictions",
-         static_cast<double>(pooled.stats.pool_evictions));
-  // Registry view of the one-shot sweeps (both configs accumulate into
-  // the process-wide bp_query_us{family="trace_download"} histogram):
-  // tail latency for the forensics one-shots under a live writer.
+      (unsigned long long)sweep.stats.pool_hits,
+      (unsigned long long)sweep.stats.pool_misses,
+      (unsigned long long)sweep.stats.pool_evictions,
+      (unsigned long long)sweep.stats.pool_frames,
+      (unsigned long long)(sweep.stats.pool_bytes / 1024));
+  Metric("pool_hits", static_cast<double>(sweep.stats.pool_hits));
+  Metric("pool_misses", static_cast<double>(sweep.stats.pool_misses));
+  Metric("pool_evictions", static_cast<double>(sweep.stats.pool_evictions));
+  // Registry view of the one-shot sweep (the process-wide
+  // bp_query_us{family="trace_download"} histogram): tail latency for
+  // the forensics one-shots under a live writer.
   MetricObsHistogram("obs_query_trace_us",
                      QueryLatencyHistogram("trace_download"));
 
   Blank();
-  Row("drift-corrected serialized baseline: %.1f reads/s (pooled: %.1f)",
-      private_caches.serialized_qps, pooled.serialized_qps);
-  for (size_t i = 0; i < pooled.qps_by_readers.size(); ++i) {
-    const auto& [readers, qps] = pooled.qps_by_readers[i];
-    const double vs_private =
-        private_caches.qps_by_readers[i].second > 0
-            ? qps / private_caches.qps_by_readers[i].second
-            : 0;
-    Row("  %d reader%s: %.2fx serialized baseline, %.2fx private caches",
-        readers, readers == 1 ? " " : "s",
-        pooled.serialized_qps > 0 ? qps / pooled.serialized_qps : 0,
-        vs_private);
-    Metric(util::StrFormat("pool_over_private_%d", readers), vs_private);
+  Row("drift-corrected serialized baseline: %.1f reads/s",
+      sweep.serialized_qps);
+  for (const auto& [readers, qps] : sweep.qps_by_readers) {
+    Row("  %d reader%s: %.2fx serialized baseline", readers,
+        readers == 1 ? " " : "s",
+        sweep.serialized_qps > 0 ? qps / sweep.serialized_qps : 0);
   }
-  for (size_t i = 0; i < pooled.oneshot_by_readers.size(); ++i) {
-    const auto& [readers, qps] = pooled.oneshot_by_readers[i];
-    const double vs_private =
-        private_caches.oneshot_by_readers[i].second > 0
-            ? qps / private_caches.oneshot_by_readers[i].second
-            : 0;
-    Row("  %d one-shot reader%s: %.2fx private caches", readers,
-        readers == 1 ? " " : "s", vs_private);
-    Metric(util::StrFormat("oneshot_pool_over_private_%d", readers),
-           vs_private);
-  }
-  const double speedup = pooled.serialized_qps > 0
-                             ? pooled.qps_at_4 / pooled.serialized_qps
-                             : 0;
-  const double pool_gain = private_caches.qps_at_4 > 0
-                               ? pooled.qps_at_4 / private_caches.qps_at_4
-                               : 0;
-  const double oneshot_gain =
-      private_caches.oneshot_at_4 > 0
-          ? pooled.oneshot_at_4 / private_caches.oneshot_at_4
-          : 0;
+  const double speedup =
+      sweep.serialized_qps > 0 ? sweep.qps_at_4 / sweep.serialized_qps : 0;
   Metric("speedup_4_readers", speedup);
-  Metric("pool_over_private_4_readers", pool_gain);
-  Metric("oneshot_pool_over_private_4_readers", oneshot_gain);
   Blank();
-  Row("at 4 readers: %.2fx the serialized baseline (target >= 2x on >= 4 "
-      "cores); view readers %.2fx private caches; one-shot readers %.2fx "
-      "private caches (acceptance: >= 1.5x)",
-      speedup, pool_gain, oneshot_gain);
+  Row("at 4 readers: %.2fx the serialized baseline (target on >= 4 cores: "
+      ">= 2x)", speedup);
   return Finish();
 }

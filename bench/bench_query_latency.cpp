@@ -225,12 +225,10 @@ int main(int argc, char** argv) {
 
   // ---- Shared buffer pool: repeated one-shot queries, cold open.
   //
-  // Under WAL durability every one-shot facade query opens a fresh
-  // snapshot. Before the shared pool, each snapshot carried a private
-  // copy-on-read cache, so EVERY query cold-read its working set from
-  // the database; with the pool, only the first touch of a page image
-  // pays storage — successive queries run warm no matter how many
-  // snapshots come and go.
+  // Every one-shot facade query opens a fresh snapshot, and every
+  // snapshot reads through the shared pool: only the first touch of a
+  // page image pays storage — successive queries run warm no matter how
+  // many snapshots come and go.
   //
   // Modeled like the paper's forensics pattern: ingest a history, CLOSE
   // it, reopen the file cold, and interrogate it with repeated one-shot
@@ -238,8 +236,7 @@ int main(int argc, char** argv) {
   // model, same device-time technique as bench_wal_commit's fsync cost
   // and E12's kModeledSync) — an NVMe-class cache-cold 4 KiB read; a
   // laptop SSD or a spinning disk is slower, so the pool's win here is
-  // the conservative end. Acceptance: warm passes >= 2x the cold /
-  // per-snapshot baseline.
+  // the conservative end.
   {
     constexpr uint32_t kColdReadUs = 20;
     Blank();
@@ -251,15 +248,13 @@ int main(int argc, char** argv) {
       std::vector<double> query_ms;  // per-query samples, warm passes only
       uint64_t pool_hits = 0;
       uint64_t pool_misses = 0;
-      uint64_t pages_fetched = 0;
     };
-    auto run_config = [&](size_t pool_bytes) {
+    auto run_oneshot = [&] {
       storage::MemEnv env;
       prov::ProvenanceDb::Options options;
       options.db.env = &env;
       options.db.sync = false;  // measuring the read path, not fsync
-      options.db.durability = storage::DurabilityMode::kWal;
-      options.db.pool_bytes = pool_bytes;
+      options.db.pool_bytes = size_t{256} << 20;
 
       std::vector<std::string> qs(
           queries.begin(),
@@ -310,48 +305,28 @@ int main(int argc, char** argv) {
       storage::PagerStats stats = db->storage_stats();
       run.pool_hits = stats.pool_hits;
       run.pool_misses = stats.pool_misses;
-      run.pages_fetched = stats.snapshot_pages_read;
       return run;
     };
 
-    OneShotRun private_cache = run_config(/*pool_bytes=*/0);
-    OneShotRun pooled = run_config(/*pool_bytes=*/size_t{256} << 20);
+    OneShotRun pooled = run_oneshot();
 
-    // Per-snapshot baseline: its best (min) pass — most favorable to
-    // the old design (every pass re-reads, so they are all "warm" in
-    // the only sense that design supports). Warm: the pool's best
-    // post-cold pass.
-    double baseline_ms = private_cache.pass_ms[0];
-    for (double ms : private_cache.pass_ms) {
-      baseline_ms = std::min(baseline_ms, ms);
-    }
+    // Pass 1 fills the pool; the warm figure is the best later pass.
+    // Pass 1 is already partially warm — queries within the pass share
+    // frames from the moment the first query faulted them in.
     const double cold_ms = pooled.pass_ms[0];
     double warm_ms = pooled.pass_ms[1];
     for (size_t i = 1; i < pooled.pass_ms.size(); ++i) {
       warm_ms = std::min(warm_ms, pooled.pass_ms[i]);
     }
-    // The cold/per-snapshot baseline IS the old design: with a private
-    // cache per snapshot, every one-shot query re-reads its working
-    // set, so every pass is as cold as the first. Pass 1 of the pooled
-    // run is already partially warm — queries within the pass share
-    // frames from the moment the first query faulted them in — which is
-    // exactly the effect being measured.
-    Row("  cold / per-snapshot baseline:  best pass %8.1f ms", baseline_ms);
-    Row("  shared pool, pass 1 (filling):            %8.1f ms", cold_ms);
-    Row("  shared pool, warm passes:                 %8.1f ms", warm_ms);
-    Row("  warm speedup vs cold baseline: %.2fx (acceptance: >= 2x)",
-        warm_ms > 0 ? baseline_ms / warm_ms : 0.0);
-    Row("  warm speedup vs pass 1:        %.2fx", warm_ms > 0 ? cold_ms / warm_ms : 0.0);
-    Row("  pool: %llu hits, %llu misses over %d passes "
-        "(baseline re-fetched %llu pages)",
+    Row("  shared pool, pass 1 (filling):  %8.1f ms", cold_ms);
+    Row("  shared pool, warm passes:       %8.1f ms", warm_ms);
+    Row("  warm speedup vs pass 1:        %.2fx",
+        warm_ms > 0 ? cold_ms / warm_ms : 0.0);
+    Row("  pool: %llu hits, %llu misses over %d passes",
         (unsigned long long)pooled.pool_hits,
-        (unsigned long long)pooled.pool_misses, kPasses,
-        (unsigned long long)private_cache.pages_fetched);
-    Metric("oneshot_cold_baseline_ms", baseline_ms);
+        (unsigned long long)pooled.pool_misses, kPasses);
     Metric("oneshot_pool_pass1_ms", cold_ms);
     Metric("oneshot_pool_warm_ms", warm_ms);
-    Metric("oneshot_warm_speedup",
-           warm_ms > 0 ? baseline_ms / warm_ms : 0.0);
     Metric("oneshot_pool_hits", static_cast<double>(pooled.pool_hits));
     Metric("oneshot_pool_misses", static_cast<double>(pooled.pool_misses));
     // Per-query warm latency distribution — the acceptance gate for the

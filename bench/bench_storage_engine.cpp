@@ -37,9 +37,6 @@ struct EngineFixture {
     storage::DbOptions opts;
     opts.env = &env;
     opts.sync = false;
-    // The production capture configuration (and the one that supports
-    // snapshots).
-    opts.durability = storage::DurabilityMode::kWal;
     db = MustOk(storage::Db::Open("bench.db", opts), "open db");
     tree = MustOk(db->CreateTree("t"), "create tree");
     util::Rng rng(1);

@@ -143,10 +143,9 @@ struct FixtureOptions {
   double redirect_fraction = 0.06;  // web knob (E9 raises it)
   sim::UserConfig user;             // overrides applied after defaults
   bool user_overridden = false;
-  // Ingest rides the WAL + group-commit + batched-transaction path by
-  // default — the production capture configuration. Set durability to
-  // kRollbackJournal / ingest_batch to 1 to measure the naive path.
-  storage::DurabilityMode durability = storage::DurabilityMode::kWal;
+  // Ingest rides the group-commit + batched-transaction path by default
+  // — the production capture configuration. Set wal_group_commit /
+  // ingest_batch to 1 to measure the naive path.
   uint32_t wal_group_commit = 8;
   size_t ingest_batch = 256;  // events per storage transaction
   // Storage diet: kFast compresses checkpoint folds. Default follows
@@ -193,7 +192,6 @@ struct HistoryFixture {
     storage::DbOptions db_opts;
     db_opts.env = &fx->env;
     db_opts.sync = false;  // measuring CPU/layout, not fsync
-    db_opts.durability = options.durability;
     db_opts.wal_group_commit = options.wal_group_commit;
     db_opts.compression = options.compression;
     fx->db = MustOk(storage::Db::Open("bench.db", db_opts), "open db");
@@ -213,8 +211,8 @@ struct HistoryFixture {
     const storage::PagerStats pre_ingest = fx->db->pager().stats();
     util::Stopwatch watch;
     // Batched ingest: chunks of events share one storage transaction
-    // (each recorder's per-event transaction nests into it), and with
-    // WAL durability adjacent chunks share one group-committed fsync.
+    // (each recorder's per-event transaction nests into it), and
+    // adjacent chunks share one group-committed fsync.
     const size_t batch = std::max<size_t>(1, options.ingest_batch);
     for (size_t start = 0; start < fx->out.events.size(); start += batch) {
       size_t end = std::min(fx->out.events.size(), start + batch);
@@ -321,8 +319,7 @@ inline void MetricObsHistogram(const std::string& prefix,
 // engine first records (count = 0 then).
 inline obs::Histogram& CommitLatencyHistogram() {
   return *obs::MetricsRegistry::Global().GetHistogram(
-      "bp_commit_us", "",
-      "End-to-end Pager::Commit latency (us), both durability modes");
+      "bp_commit_us", "", "End-to-end Pager::Commit latency (us)");
 }
 inline obs::Histogram& QueryLatencyHistogram(const char* family) {
   return *obs::MetricsRegistry::Global().GetHistogram(

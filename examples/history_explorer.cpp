@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   // Fresh file each run.
   (void)storage::Env::Posix()->Remove(path);
-  (void)storage::Env::Posix()->Remove(path + ".journal");
+  (void)storage::Env::Posix()->Remove(path + ".wal");
 
   // 1. Simulate a user.
   util::Rng rng(seed);

@@ -61,10 +61,10 @@ struct QueryStats {
   uint64_t edges_expanded = 0;  // edges considered by traversal logic
   uint64_t nodes_visited = 0;   // nodes popped/visited by traversals
   uint64_t budget_used = 0;     // QueryBudget units charged
-  // Page-level cost under WAL snapshot reads: images served from the
-  // shared buffer pool vs. fetched from the log/database file. Zero on
-  // the live (journal / mid-batch) path, where pages go through the
-  // writer cache instead (PagerStats).
+  // Page-level cost under snapshot reads: images served from the shared
+  // buffer pool vs. fetched from the log/database file. Zero on the live
+  // (mid-batch) path, where pages go through the writer cache instead
+  // (PagerStats).
   uint64_t pool_hits = 0;
   uint64_t pages_fetched = 0;   // pool misses: log/database file reads
 

@@ -66,9 +66,9 @@ class ProvStore {
   // call's own AutoTxn composes into it). Capture is bursty — a page
   // load emits several events back to back — and per-event transactions
   // pay the full durability cost every time; a batch pays it once. With
-  // the database opened in DurabilityMode::kWal and wal_group_commit >
-  // 1, adjacent batches additionally share a single log fsync, which is
-  // the cheap sustained-ingest path the paper's capture workload needs.
+  // the database opened with wal_group_commit > 1, adjacent batches
+  // additionally share a single log fsync, which is the cheap
+  // sustained-ingest path the paper's capture workload needs.
   //
   //   { prov::ProvStore::IngestBatch batch(*store);
   //     ... store->RecordVisit(...); store->RecordClose(...); ...

@@ -160,14 +160,11 @@ Status ProvenanceDb::Close() {
   async_sink_.reset();
 
   util::RecursiveMutexLock lock(mu_);
-  // Fold the log into the database file now (no-op in journal mode).
-  // ~Pager would do this too, but here the error surfaces — and on
-  // failure the log simply stays behind for the next Open to replay,
-  // so closing remains safe to continue.
-  Status checkpoint_status;
-  if (db_->pager().durability() == storage::DurabilityMode::kWal) {
-    checkpoint_status = db_->pager().Checkpoint();
-  }
+  // Fold the log into the database file now. ~Pager would do this too,
+  // but here the error surfaces — and on failure the log simply stays
+  // behind for the next Open to replay, so closing remains safe to
+  // continue.
+  Status checkpoint_status = db_->pager().Checkpoint();
   final_stats_ = db_->pager().stats();
   closed_.store(true, std::memory_order_release);
   // Teardown in dependency order; ~Pager releases this database's
@@ -243,9 +240,8 @@ Result<bool> ProvenanceDb::CommitEventBatch(
     return committed;
   }
   // Durable already? True when the commit filled and flushed the
-  // group-commit window (or the mode has no durability lag).
-  return db_->pager().durability() != storage::DurabilityMode::kWal ||
-         db_->pager().unsynced_commits() == 0;
+  // group-commit window.
+  return db_->pager().unsynced_commits() == 0;
 }
 
 // Deliberately NOT under mu_: FlushPending only takes the pager's log
@@ -303,9 +299,6 @@ Status ProvenanceDb::Sync() {
 Status ProvenanceDb::Checkpoint() {
   util::RecursiveMutexLock lock(mu_);
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
-  if (db_->pager().durability() != storage::DurabilityMode::kWal) {
-    return Status::Ok();  // nothing to fold: the db file is current
-  }
   return db_->pager().Checkpoint();
 }
 
@@ -369,17 +362,6 @@ auto WithPageStats(const storage::Snapshot& snap, Fn&& fn)
 }
 
 }  // namespace
-
-// One-shot queries use a private snapshot when one is available AND
-// honest: WAL durability only (journal mode rewrites the database file
-// in place), and not inside an open Batch — a snapshot excludes the
-// batch's uncommitted events, but a caller querying mid-batch expects
-// to read their own writes, so that case stays on the serialized live
-// path (which the held lock makes safe).
-bool ProvenanceDb::UseSnapshotQueriesLocked() const {
-  return db_->pager().durability() == storage::DurabilityMode::kWal &&
-         !db_->pager().InTransaction();
-}
 
 Result<search::ContextualSearchResult> ProvenanceDb::SnapshotView::Search(
     const std::string& query,
@@ -445,12 +427,11 @@ graph::NodeCursor ProvenanceDb::SnapshotView::Nodes(
 
 // --------------------------------------------------- one-shot queries
 //
-// All six dispatch through OneShot (provenance_db.hpp): under WAL
-// durability each call opens a private snapshot — the lock is held
-// only while the snapshot is created, and the query itself runs
-// against the frozen view, concurrently with ingestion and other
-// readers. Journal mode and mid-batch calls run the live path under
-// the lock — the pre-snapshot behavior.
+// All six dispatch through OneShot (provenance_db.hpp): each call
+// opens a private snapshot — the lock is held only while the snapshot
+// is created, and the query itself runs against the frozen view,
+// concurrently with ingestion and other readers. Mid-batch calls run
+// the live path under the lock, so they read the batch's own writes.
 
 Result<search::ContextualSearchResult> ProvenanceDb::Search(
     const std::string& query,

@@ -28,7 +28,7 @@
 // interleave at transaction granularity.
 //
 // One-shot query methods may be called from any thread, and every
-// one-shot query under WAL durability runs against a fresh snapshot —
+// one-shot query outside an open Batch runs against a fresh snapshot —
 // so queries from other threads never observe a half-applied batch and
 // never block behind each other, only behind snapshot creation. For
 // query bursts that should share one consistent view (paging through
@@ -76,14 +76,13 @@ namespace bp::prov {
 class ProvenanceDb {
  public:
   struct Options {
-    // Storage knobs (env, cache, durability, buffer pool). The default
-    // WAL + group commit configuration is the sustained-capture path;
-    // pass a MemEnv via db.env for tests and examples. The shared
-    // versioned buffer pool behind every snapshot read is sized by
-    // db.pool_bytes (0 disables it; db.buffer_pool shares one pool —
-    // one global byte budget — across several databases). Hit/miss
-    // counters surface through storage_stats() and per-query
-    // QueryStats.
+    // Storage knobs (env, cache, group commit, buffer pool). The
+    // default group-commit window is the sustained-capture path; pass a
+    // MemEnv via db.env for tests and examples. The shared versioned
+    // buffer pool behind every snapshot read is sized by db.pool_bytes
+    // (must be > 0 unless db.buffer_pool shares one pool — one global
+    // byte budget — across several databases). Hit/miss counters
+    // surface through storage_stats() and per-query QueryStats.
     storage::DbOptions db;
     // Schema knobs (versioning policy, close-time recording).
     ProvOptions prov;
@@ -112,32 +111,30 @@ class ProvenanceDb {
     };
     AsyncOptions async;
 
-    // WAL durability with a group-commit window of 8: every commit —
-    // ingest batches and text-index refreshes alike — appends to the one
-    // log, <path>.wal; an acknowledgement (Flush, Drain, Sync) is an
-    // fsync of that file, and checkpoints fold it into the database
-    // file (see storage/pager.hpp).
-    Options() {
-      db.durability = storage::DurabilityMode::kWal;
-      db.wal_group_commit = 8;
-    }
+    // A group-commit window of 8: every commit — ingest batches and
+    // text-index refreshes alike — appends to the one log, <path>.wal;
+    // an acknowledgement (Flush, Drain, Sync) is an fsync of that file,
+    // and checkpoints fold it into the database file (see
+    // storage/pager.hpp).
+    Options() { db.wal_group_commit = 8; }
   };
 
   // Opens (creating if needed) the full stack at `path`. Rejects
-  // unusable options up front (InvalidArgument on ingest_batch == 0, or
-  // async.queue_capacity == 0 with async enabled) instead of letting
-  // them misbehave downstream.
+  // unusable options up front (InvalidArgument on ingest_batch == 0,
+  // async.queue_capacity == 0 with async enabled, or db.pool_bytes == 0
+  // without an injected db.buffer_pool) instead of letting them
+  // misbehave downstream.
   static util::Result<std::unique_ptr<ProvenanceDb>> Open(
       const std::string& path, Options options = {});
 
   // Explicit clean shutdown: drains the async pipeline, joins the
-  // committer, checkpoints (WAL mode: folds the log into the database
-  // file), and releases every resource — including this database's
-  // frames in a shared buffer pool — without waiting for the
-  // destructor. This is what lets a handle cache (service layer) evict
-  // a database deterministically instead of relying on destructor
-  // ordering, and it surfaces the errors a destructor would swallow
-  // (the first of: drain failure, checkpoint failure).
+  // committer, checkpoints (folds the log into the database file), and
+  // releases every resource — including this database's frames in a
+  // shared buffer pool — without waiting for the destructor. This is
+  // what lets a handle cache (service layer) evict a database
+  // deterministically instead of relying on destructor ordering, and
+  // it surfaces the errors a destructor would swallow (the first of:
+  // drain failure, checkpoint failure).
   //
   // Preconditions: no open Batch, no live SnapshotView, and — like the
   // destructor — no concurrent calls on this instance. Returns
@@ -312,8 +309,7 @@ class ProvenanceDb {
   // ingest pipeline first when drain_before_query is on, then
   // refreshing the text index, so the frozen view is fully searchable
   // and covers every event already IngestAsync'd).
-  // FailedPrecondition in journal mode (it rewrites the database file
-  // in place) and inside an open Batch (the index refresh would
+  // FailedPrecondition inside an open Batch (the index refresh would
   // compose into the uncommitted batch, leaving the view silently
   // unsearchable for not-yet-indexed committed pages).
   util::Result<SnapshotView> BeginSnapshot();
@@ -321,25 +317,22 @@ class ProvenanceDb {
   // ------------------------------------------------------ durability
   //
   // Makes every commit so far durable without waiting for the group
-  // commit window to fill (-> Pager::SyncWal). No-op in journal mode,
-  // where every commit is already durable on return. After a failed log
-  // fsync this, Flush, Drain and Checkpoint return that error until the
+  // commit window to fill (-> Pager::SyncWal). After a failed log fsync
+  // this, Flush, Drain and Checkpoint return that error until the
   // database is reopened (see Pager::SyncWal).
   util::Status Sync();
   // Folds the write-ahead log into the database file now (->
   // Pager::Checkpoint). FailedPrecondition while snapshots are live (a
-  // deferred checkpoint re-arms automatically at the next commit);
-  // no-op in journal mode.
+  // deferred checkpoint re-arms automatically at the next commit).
   util::Status Checkpoint();
 
   // ------------------------------------------------------- queries
   //
   // One-shot: each call runs against a private snapshot opened for just
-  // that call (under WAL durability), so concurrent ingestion never
-  // tears a result. Two cases stay on the serialized live path:
-  // journal mode (no snapshots) and calls made inside an open Batch,
-  // which read the batch's own uncommitted events. Prefer BeginSnapshot
-  // when several queries must agree on one view or share its caches.
+  // that call, so concurrent ingestion never tears a result. Calls made
+  // inside an open Batch stay on the serialized live path, so they read
+  // the batch's own uncommitted events. Prefer BeginSnapshot when
+  // several queries must agree on one view or share its caches.
   //
   // Use case 2.1: provenance-aware contextual history search.
   util::Result<search::ContextualSearchResult> Search(
@@ -426,10 +419,6 @@ class ProvenanceDb {
   // and the searcher bind (lineage never touches the text index).
   util::Result<SnapshotView> BeginSnapshotLocked(bool with_searcher)
       BP_REQUIRES(mu_);
-  // True when one-shot queries should run on a private snapshot: WAL
-  // durability and no open Batch (mid-batch queries keep the live,
-  // read-your-own-writes path).
-  bool UseSnapshotQueriesLocked() const BP_REQUIRES(mu_);
 
   // Read-your-writes for queries: drains the ingest pipeline so events
   // already IngestAsync'd are committed before the query opens its
@@ -449,17 +438,18 @@ class ProvenanceDb {
   // read-your-writes drain (which must happen BEFORE the lock — the
   // committer takes mu_ per batch), under the writer lock either open a
   // private snapshot and run `on_view` against it UNLOCKED (the
-  // concurrent path), or run `on_live` while still holding the lock
-  // (journal mode / mid-batch). Both callables return the same Result
-  // type; on_live is responsible for RefreshIndex when the query is
-  // text-backed.
+  // concurrent path), or — inside an open Batch, whose caller expects
+  // to read its own uncommitted writes, which a snapshot excludes —
+  // run `on_live` while still holding the lock. Both callables return
+  // the same Result type; on_live is responsible for RefreshIndex when
+  // the query is text-backed.
   template <typename ViewFn, typename LiveFn>
   auto OneShot(bool with_searcher, ViewFn&& on_view, LiveFn&& on_live)
       -> decltype(on_live()) {
     MaybeDrainForQuery();
     util::RecursiveMutexLock lock(mu_);
     if (closed_.load(std::memory_order_acquire)) return ClosedError();
-    if (UseSnapshotQueriesLocked()) {
+    if (!db_->pager().InTransaction()) {
       auto view = BeginSnapshotLocked(with_searcher);
       if (!view.ok()) return view.status();
       lock.Unlock();

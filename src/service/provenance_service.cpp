@@ -49,6 +49,11 @@ Result<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
     return Status::InvalidArgument(
         "ServiceOptions::db.ingest_batch must be >= 1");
   }
+  if (options.db.db.buffer_pool == nullptr && options.db.db.pool_bytes == 0) {
+    return Status::InvalidArgument(
+        "ServiceOptions::db.db.pool_bytes must be > 0 unless a buffer "
+        "pool is injected");
+  }
   if (options.db.db.buffer_pool != nullptr &&
       options.db.db.pool_bytes != 0 &&
       options.db.db.pool_bytes !=
@@ -69,17 +74,15 @@ Result<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
   svc->options_.db.async.enabled = false;
   // One byte budget across every profile: adopt the caller's shared
   // pool or create one from the template's pool_bytes.
-  if (svc->options_.db.db.buffer_pool != nullptr) {
-    svc->pool_ = svc->options_.db.db.buffer_pool;
-  } else if (svc->options_.db.db.pool_bytes > 0) {
-    svc->pool_ =
-        std::make_shared<storage::BufferPool>(svc->options_.db.db.pool_bytes);
+  storage::DbOptions& db_template = svc->options_.db.db;
+  if (db_template.buffer_pool == nullptr) {
+    db_template.buffer_pool =
+        std::make_shared<storage::BufferPool>(db_template.pool_bytes);
   }
-  svc->options_.db.db.buffer_pool = svc->pool_;
+  svc->pool_ = db_template.buffer_pool;
   // Normalize so the per-profile opens on worker threads see an
   // agreeing (pool, pool_bytes) pair whatever the template said.
-  svc->options_.db.db.pool_bytes =
-      svc->pool_ != nullptr ? svc->pool_->byte_budget() : 0;
+  db_template.pool_bytes = svc->pool_->byte_budget();
 
   {
     util::MutexLock lock(svc->mu_);

@@ -117,8 +117,9 @@ struct ServiceOptions {
   // Template for every profile database the service opens. The service
   // overrides async.enabled (always false — the shard worker is the
   // committer) and db.buffer_pool (shared across all profiles; created
-  // from db.db.pool_bytes when left null). Everything else — env,
-  // durability, group commit, ingest_batch — applies per profile.
+  // from db.db.pool_bytes, which must then be > 0, when left null).
+  // Everything else — env, group commit, ingest_batch — applies per
+  // profile.
   prov::ProvenanceDb::Options db;
 };
 

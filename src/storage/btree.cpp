@@ -115,7 +115,7 @@ struct InteriorCell {
 
 // The page is trusted (we wrote it); corruption manifests as BP_CHECK
 // failures rather than Status because it indicates an engine bug or
-// on-disk damage past the checksummed journal.
+// on-disk damage past the checksummed log.
 LeafCell ParseLeafCell(std::string_view bytes) {
   Reader r(bytes);
   LeafCell cell;

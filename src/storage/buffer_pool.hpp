@@ -9,9 +9,9 @@
 //                 pool (PagerOptions::buffer_pool) never alias pages;
 //   generation  — the pager's checkpoint generation. A checkpoint is
 //                 the only operation that rewrites the main database
-//                 file in WAL mode AND the one that truncates the log
-//                 (reusing its offsets), so bumping one counter at each
-//                 checkpoint versions both sources at once;
+//                 file AND the one that truncates the log (reusing its
+//                 offsets), so bumping one counter at each checkpoint
+//                 versions both sources at once;
 //   offset      — for WAL-resident images, the log offset of the frame
 //                 (the log is append-only within a generation, so the
 //                 offset names exactly one byte image); kMainFileImage

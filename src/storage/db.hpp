@@ -20,14 +20,14 @@ struct DbOptions {
   Env* env = Env::Posix();
   size_t cache_pages = 4096;
   bool sync = true;
-  // See PagerOptions: kWal + wal_group_commit > 1 amortizes fsyncs
-  // across bursts of small transactions (batched provenance ingest).
-  DurabilityMode durability = DurabilityMode::kRollbackJournal;
+  // See PagerOptions: wal_group_commit > 1 amortizes fsyncs across
+  // bursts of small transactions (batched provenance ingest).
   uint32_t wal_group_commit = 1;
   uint64_t wal_checkpoint_bytes = 4 << 20;
-  // Versioned buffer pool shared by the whole read path (WAL mode; see
-  // PagerOptions). pool_bytes = 0 disables it; buffer_pool (when set)
-  // joins an existing pool so several databases share one byte budget.
+  // Versioned buffer pool shared by the whole read path (see
+  // PagerOptions). pool_bytes must be > 0 unless buffer_pool is set;
+  // buffer_pool joins an existing pool so several databases share one
+  // byte budget.
   size_t pool_bytes = 32 << 20;
   std::shared_ptr<BufferPool> buffer_pool;
   // Storage diet (see PagerOptions::compression): mode=kFast compresses
@@ -55,8 +55,8 @@ struct SpaceReport {
 
 class Db {
  public:
-  // Opens or creates the database at `path`, recovering from a crashed
-  // commit if a hot journal is present.
+  // Opens or creates the database at `path`, first replaying the
+  // committed prefix of a write-ahead log a crash left behind.
   static util::Result<std::unique_ptr<Db>> Open(const std::string& path,
                                                 DbOptions options = {});
 
@@ -80,8 +80,8 @@ class Db {
   util::Status Rollback() { return pager_->Rollback(); }
 
   // Read transaction: an immutable view of the committed state, safe to
-  // read from other threads while this Db keeps writing (WAL mode only;
-  // see Pager::BeginRead). Bind tree handles to it with BTree::BoundAt.
+  // read from other threads while this Db keeps writing (see
+  // Pager::BeginRead). Bind tree handles to it with BTree::BoundAt.
   util::Result<std::unique_ptr<Snapshot>> BeginRead() {
     return pager_->BeginRead();
   }

@@ -13,8 +13,7 @@ constexpr PageId kNoPage = 0;
 
 constexpr uint32_t kPageSize = 4096;
 
-constexpr uint32_t kDbMagic = 0x42504442;       // "BPDB"
-constexpr uint32_t kJournalMagic = 0x42504a4c;  // "BPJL"
+constexpr uint32_t kDbMagic = 0x42504442;  // "BPDB"
 constexpr uint32_t kDbVersion = 1;
 
 }  // namespace bp::storage

@@ -1,11 +1,11 @@
 #include "storage/pager.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "storage/snapshot.hpp"
-#include "util/hash.hpp"
 #include "util/require.hpp"
 #include "util/serde.hpp"
 #include "util/strings.hpp"
@@ -60,34 +60,44 @@ char* PageRef::mutable_data() {
 // ----------------------------------------------------------------- Pager
 
 Pager::Pager(std::string path, PagerOptions options)
-    : path_(std::move(path)), options_(options) {
+    : path_(std::move(path)),
+      options_(options),
+      pool_(options_.buffer_pool != nullptr
+                ? options_.buffer_pool
+                : std::make_shared<BufferPool>(options_.pool_bytes)),
+      pool_owner_(BufferPool::NextOwnerId()) {
   lru_.lru_prev = &lru_;
   lru_.lru_next = &lru_;
 }
 
 Result<std::unique_ptr<Pager>> Pager::Open(std::string path,
                                            PagerOptions options) {
-  // Builds that split the WAL into two streams left committed
-  // transactions in <path>.wal1, interleaved by commit sequence with
-  // <path>.wal. Folding <path>.wal alone would apply commits past a
-  // missing one, and dropping the file would lose acknowledged ones.
-  if (const std::string wal1 = path + ".wal1"; options.env->Exists(wal1)) {
-    return Status::FailedPrecondition(
-        "found " + wal1 +
-        ", a second WAL stream this build cannot recover; reopen and "
-        "close the database once with the build that wrote it");
+  if (options.buffer_pool == nullptr && options.pool_bytes == 0) {
+    return Status::InvalidArgument(
+        "PagerOptions::pool_bytes must be > 0 unless a buffer_pool is "
+        "injected");
+  }
+  // Files older builds left behind, holding state this one cannot
+  // recover; Open refuses and leaves them in place. <path>.wal1 is a
+  // second WAL stream, interleaved by commit sequence with <path>.wal:
+  // folding <path>.wal alone would apply commits past a missing one.
+  // <path>.journal is a hot rollback journal: the database file may be
+  // half-written, and only the journal's before-images repair it.
+  // Ignoring or deleting either file would lose or tear committed data.
+  for (const auto& [suffix, what] :
+       {std::pair{".wal1", "a second WAL stream"},
+        std::pair{".journal", "a rollback journal"}}) {
+    if (const std::string file = path + suffix; options.env->Exists(file)) {
+      return Status::FailedPrecondition(
+          "found " + file + ", " + what +
+          " this build cannot recover; reopen and close the database "
+          "once with the build that wrote it");
+    }
   }
   std::unique_ptr<Pager> pager(new Pager(std::move(path), options));
   BP_ASSIGN_OR_RETURN(pager->file_, options.env->Open(pager->path_));
 
-  // Recovery runs regardless of the requested durability mode, so a
-  // database left behind by a crash in EITHER mode opens correctly: a
-  // hot journal from a crashed journal-mode commit is rolled back, then
-  // the committed prefix of a surviving write-ahead log is replayed.
-  // (The two files never coexist in practice — each mode retires its
-  // own log — but recovering both is cheap and makes mode switches
-  // safe.)
-  BP_RETURN_IF_ERROR(pager->RecoverFromJournal());
+  // Replay the committed prefix of a surviving write-ahead log.
   BP_RETURN_IF_ERROR(pager->RecoverFromWal());
 
   BP_ASSIGN_OR_RETURN(uint64_t size, pager->file_->Size());
@@ -114,23 +124,9 @@ Result<std::unique_ptr<Pager>> Pager::Open(std::string path,
   }
   pager->main_file_pages_ = pager->page_count_;
 
-  if (pager->options_.durability == DurabilityMode::kWal) {
-    BP_ASSIGN_OR_RETURN(pager->wal_,
-                        wal::WalWriter::Open(options.env, pager->WalPath(),
-                                             pager->commit_seq_));
-    // The shared versioned buffer pool serves the whole read path in
-    // WAL mode. Journal mode gets none: it rewrites main-file pages in
-    // place at every commit, which would stale main-file image keys
-    // mid-generation (and it has no snapshots to serve anyway).
-    if (options.buffer_pool != nullptr) {
-      pager->pool_ = options.buffer_pool;
-    } else if (options.pool_bytes > 0) {
-      pager->pool_ = std::make_shared<BufferPool>(options.pool_bytes);
-    }
-    if (pager->pool_ != nullptr) {
-      pager->pool_owner_ = BufferPool::NextOwnerId();
-    }
-  }
+  BP_ASSIGN_OR_RETURN(pager->wal_,
+                      wal::WalWriter::Open(options.env, pager->WalPath(),
+                                           pager->commit_seq_));
   pager->PublishCommittedState();
 
   // Observability: latency histograms are process-wide (one distribution
@@ -140,8 +136,7 @@ Result<std::unique_ptr<Pager>> Pager::Open(std::string path,
   // anything down, and RemoveCollector blocks out in-flight dumps.
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   pager->commit_latency_us_ = reg.GetHistogram(
-      "bp_commit_us", "",
-      "End-to-end Pager::Commit latency (us), both durability modes");
+      "bp_commit_us", "", "End-to-end Pager::Commit latency (us)");
   pager->fsync_latency_us_ = reg.GetHistogram(
       "bp_wal_fsync_us", "", "WAL log fsync latency (us)");
   pager->group_commit_txns_ = reg.GetHistogram(
@@ -171,11 +166,12 @@ Pager::~Pager() {
   BP_CHECK(live_snapshots() == 0,
            "all snapshots must be released before the pager closes");
   if (in_txn_) (void)Rollback();
-  if (wal_mode()) {
-    // Clean close: make every commit durable, fold the log into the
-    // database file, and retire it. The log is only removed when the
-    // fold fully succeeded; on failure it stays behind as the sole copy
-    // of the committed pages, and the next Open replays it.
+  // Clean close: make every commit durable, fold the log into the
+  // database file, and retire it. The log is only removed when the fold
+  // fully succeeded; on failure it stays behind as the sole copy of the
+  // committed pages, and the next Open replays it. (No log yet means
+  // Open failed before reaching it: there is nothing to fold.)
+  if (wal_ != nullptr) {
     bool folded = Checkpoint().ok();  // Checkpoint syncs the log first
     wal_.reset();
     if (folded) (void)options_.env->Remove(WalPath());
@@ -184,7 +180,7 @@ Pager::~Pager() {
   // so frames published under it are unreachable from here on — without
   // the drop they would hold budget other databases sharing the pool
   // could use (see BufferPool::DropOwner).
-  if (pool_ != nullptr) pool_->DropOwner(pool_owner_);
+  pool_->DropOwner(pool_owner_);
 }
 
 Status Pager::InitializeNewDb() {
@@ -258,68 +254,6 @@ Status Pager::WriteHeaderToFrame() {
   return Status::Ok();
 }
 
-// Journal layout:
-//   header: magic u32, commit_seq u64, page_size u32, orig_page_count u32,
-//           entry_count u32
-//   entry:  page_id u32, page bytes [kPageSize], fnv1a64 checksum u64
-Status Pager::RecoverFromJournal() {
-  const std::string jpath = JournalPath();
-  if (!options_.env->Exists(jpath)) return Status::Ok();
-
-  BP_ASSIGN_OR_RETURN(std::unique_ptr<File> jf, options_.env->Open(jpath));
-  BP_ASSIGN_OR_RETURN(uint64_t jsize, jf->Size());
-
-  constexpr size_t kHeaderBytes = 4 + 8 + 4 + 4 + 4;
-  constexpr size_t kEntryBytes = 4 + kPageSize + 8;
-
-  bool valid = jsize >= kHeaderBytes;
-  uint32_t orig_page_count = 0;
-  uint32_t entry_count = 0;
-  std::string raw;
-  if (valid) {
-    BP_RETURN_IF_ERROR(jf->Read(0, jsize, &raw));
-    Reader r(raw);
-    uint32_t magic = r.ReadU32();
-    r.ReadU64();  // commit_seq (informational)
-    uint32_t page_size = r.ReadU32();
-    orig_page_count = r.ReadU32();
-    entry_count = r.ReadU32();
-    valid = r.ok() && magic == kJournalMagic && page_size == kPageSize &&
-            jsize >= kHeaderBytes + uint64_t{entry_count} * kEntryBytes;
-  }
-
-  if (valid && entry_count > 0) {
-    // The journal was fully written (entries checksum below), which means
-    // the crash happened while writing the database file: roll back.
-    Reader r(raw);
-    r.Skip(kHeaderBytes);
-    for (uint32_t i = 0; i < entry_count && valid; ++i) {
-      uint32_t page_id = r.ReadU32();
-      std::string_view data = r.ReadRaw(kPageSize);
-      uint64_t checksum = r.ReadU64();
-      if (!r.ok() || util::Fnv1a64(data) != checksum) {
-        valid = false;
-        break;
-      }
-      BP_RETURN_IF_ERROR(
-          file_->Write(uint64_t{page_id} * kPageSize, data));
-    }
-    if (valid) {
-      BP_RETURN_IF_ERROR(
-          file_->Truncate(uint64_t{orig_page_count} * kPageSize));
-      if (options_.sync) {
-        BP_RETURN_IF_ERROR(file_->Sync());
-        ++stats_.sync.fsyncs;
-        stats_.sync.bytes_synced += uint64_t{entry_count} * kPageSize;
-      }
-    }
-  }
-  // Whether replayed or found incomplete (crash before the journal fsync,
-  // database untouched), the journal is now obsolete.
-  jf.reset();
-  return options_.env->Remove(jpath);
-}
-
 Status Pager::RecoverFromWal() {
   // Fold the committed prefix that survived: torn tails — the
   // transaction whose fsync never finished — are ignored by the reader.
@@ -382,7 +316,6 @@ Status Pager::SyncLocked() {
 }
 
 Status Pager::SyncWal() {
-  if (!wal_mode()) return Status::Ok();
   util::MutexLock lock(wal_mu_);
   return SyncLocked();
 }
@@ -390,13 +323,12 @@ Status Pager::SyncWal() {
 Result<bool> Pager::FlushPending() {
   // A failed fsync leaves its window pending (see SyncLocked), so the
   // sticky error is never skipped by this early-out.
-  if (!wal_mode() || unsynced_commits() == 0) return false;
+  if (unsynced_commits() == 0) return false;
   BP_RETURN_IF_ERROR(SyncWal());
   return true;
 }
 
 Status Pager::Checkpoint() {
-  BP_REQUIRE(wal_mode(), "Checkpoint requires WAL durability mode");
   if (in_txn_) {
     return Status::FailedPrecondition(
         "Checkpoint during an open transaction");
@@ -452,7 +384,7 @@ Status Pager::Checkpoint() {
 }
 
 Status Pager::MaybeCheckpoint() {
-  if (!wal_mode() || in_txn_ || live_snapshots() > 0) {
+  if (in_txn_ || live_snapshots() > 0) {
     // Deferred while snapshots are live; retried at the next commit.
     return Status::Ok();
   }
@@ -501,11 +433,6 @@ void Pager::PublishCommitDelta(
 }
 
 util::Result<std::unique_ptr<Snapshot>> Pager::BeginRead() {
-  if (!wal_mode()) {
-    return Status::FailedPrecondition(
-        "BeginRead requires WAL durability mode (journal mode rewrites "
-        "the database file in place at every commit)");
-  }
   util::MutexLock lock(commit_mu_);
   std::unique_ptr<Snapshot> snap(new Snapshot());
   snap->pager_ = this;
@@ -566,12 +493,7 @@ Status Pager::Commit() {
               return a->id < b->id;
             });
 
-  if (options_.durability == DurabilityMode::kWal) {
-    BP_RETURN_IF_ERROR(CommitViaWal(dirty));
-  } else {
-    BP_RETURN_IF_ERROR(CommitViaJournal(dirty));
-    main_file_pages_ = page_count_;
-  }
+  BP_RETURN_IF_ERROR(AppendToLog(dirty));
 
   for (internal::Frame* frame : dirty) frame->dirty = false;
   before_images_.clear();
@@ -583,82 +505,23 @@ Status Pager::Commit() {
   // Make the new commit visible to BeginRead: the log write above
   // happens-before the publication, so a snapshot that observes this
   // commit_seq can read every frame offset its index names.
-  if (options_.durability == DurabilityMode::kWal) {
-    PublishCommitDelta(last_commit_offsets_);
-  }
+  PublishCommitDelta(last_commit_offsets_);
 
   // Group commit: the transaction is fully retired above BEFORE the
   // fsync is attempted, because once its commit frame is in the log it
   // IS committed — a sync failure here means durability is not
   // guaranteed (and, the error being sticky, never will be on this
   // pager), never that the commit can be rolled back. Flushing inside
-  // CommitViaWal would let an fsync error leave in_txn_ set and a later
+  // AppendToLog would let an fsync error leave in_txn_ set and a later
   // Rollback tear cached pages away from the log's committed images.
-  if (wal_mode() && unsynced_commits() >= options_.wal_group_commit) {
+  if (unsynced_commits() >= options_.wal_group_commit) {
     BP_RETURN_IF_ERROR(SyncWal());
   }
   // Fold the log into the main file if it crossed the size threshold.
   return MaybeCheckpoint();
 }
 
-Status Pager::CommitViaJournal(const std::vector<internal::Frame*>& dirty) {
-  // Phase 1: persist before-images so a mid-write crash can be undone.
-  if (!before_images_.empty()) {
-    Writer w;
-    w.PutU32(kJournalMagic);
-    w.PutU64(commit_seq_ + 1);
-    w.PutU32(kPageSize);
-    w.PutU32(txn_orig_page_count_);
-    w.PutU32(static_cast<uint32_t>(before_images_.size()));
-    for (const auto& [id, image] : before_images_) {
-      w.PutU32(id);
-      w.PutRaw(image);
-      w.PutU64(util::Fnv1a64(image));
-    }
-    BP_ASSIGN_OR_RETURN(std::unique_ptr<File> jf,
-                        options_.env->Open(JournalPath()));
-    BP_RETURN_IF_ERROR(jf->Truncate(0));
-    BP_RETURN_IF_ERROR(jf->Write(0, w.data()));
-    if (options_.sync) {
-      BP_RETURN_IF_ERROR(jf->Sync());
-      ++stats_.sync.fsyncs;
-      stats_.sync.bytes_synced += w.size();
-    }
-  }
-
-  if (crash_after_journal_) {
-    // Simulated power loss: leave the hot journal and the (possibly
-    // partially updated) database file exactly as they are.
-    return Status::Aborted("simulated crash after journal sync");
-  }
-
-  // Phase 2: write dirty pages into the database file.
-  ++commit_seq_;
-  for (internal::Frame* frame : dirty) {
-    if (frame->id == 0) {
-      // Refresh the header bytes with the final committed field values
-      // (mid-transaction WriteHeaderToFrame calls capture intermediates).
-      std::string header = SerializedHeader();
-      std::copy(header.begin(), header.end(), frame->data.data());
-    }
-    BP_RETURN_IF_ERROR(
-        file_->Write(uint64_t{frame->id} * kPageSize, frame->data));
-    stats_.pages_written.Inc();
-  }
-  if (options_.sync) {
-    BP_RETURN_IF_ERROR(file_->Sync());
-    ++stats_.sync.fsyncs;
-    stats_.sync.bytes_synced += dirty.size() * uint64_t{kPageSize};
-  }
-
-  // Phase 3: the commit is durable; retire the journal.
-  if (!before_images_.empty()) {
-    BP_RETURN_IF_ERROR(options_.env->Remove(JournalPath()));
-  }
-  return Status::Ok();
-}
-
-Status Pager::CommitViaWal(const std::vector<internal::Frame*>& dirty) {
+Status Pager::AppendToLog(const std::vector<internal::Frame*>& dirty) {
   ++commit_seq_;
   // One page-image frame per dirty page, then the commit frame, appended
   // to the log in a single sequential write. The database file is not
@@ -693,12 +556,10 @@ Status Pager::CommitViaWal(const std::vector<internal::Frame*>& dirty) {
   // snapshot readers (and repeated one-shot queries) hit hot pages —
   // tree roots, the catalog — without ever touching the log.
   // `offsets` and `dirty` are index-aligned (built by the same loop).
-  if (pool_ != nullptr) {
-    for (size_t i = 0; i < dirty.size(); ++i) {
-      PublishToPool(PageImageKey{pool_owner_, offsets[i].first, generation_,
-                                 offsets[i].second},
-                    std::string(dirty[i]->data));
-    }
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    PublishToPool(PageImageKey{pool_owner_, offsets[i].first, generation_,
+                               offsets[i].second},
+                  std::string(dirty[i]->data));
   }
   return Status::Ok();
 }
@@ -820,13 +681,13 @@ Result<PageRef> Pager::Get(PageId id) {
 Result<PageRef> Pager::GetMutable(PageId id) {
   BP_REQUIRE(in_txn_, "mutation outside a transaction");
   BP_ASSIGN_OR_RETURN(internal::Frame * frame, FetchFrame(id));
-  JournalBeforeImage(*frame);
+  CaptureBeforeImage(*frame);
   frame->dirty = true;
   ++change_count_;
   return PageRef(this, frame, /*writable=*/true);
 }
 
-void Pager::JournalBeforeImage(internal::Frame& frame) {
+void Pager::CaptureBeforeImage(internal::Frame& frame) {
   if (fresh_pages_.count(frame.id) > 0 ||
       before_images_.count(frame.id) > 0) {
     return;
@@ -956,7 +817,6 @@ uint64_t Pager::OnDiskPageBytes(PageId id) const {
 }
 
 bool Pager::CommittedImageKey(PageId id, PageImageKey* key) const {
-  if (pool_ == nullptr) return false;  // also covers journal mode
   key->owner = pool_owner_;
   key->id = id;
   key->generation = generation_;
@@ -1007,15 +867,13 @@ PagerStats Pager::stats() const {
   out.compressed_bytes = stats_.compressed_bytes.load();
   out.compressible_raw_bytes = stats_.compressible_raw_bytes.load();
   out.decompress_reads = stats_.decompress_reads.load();
-  if (pool_ != nullptr) {
-    BufferPoolStats pool = pool_->stats();
-    out.pool_hits = pool.hits;
-    out.pool_misses = pool.misses;
-    out.pool_evictions = pool.evictions;
-    out.pool_bytes = pool.bytes;
-    out.pool_frames = pool.frames;
-    out.pool_pinned_bytes = pool.pinned_bytes;
-  }
+  const BufferPoolStats pool = pool_->stats();
+  out.pool_hits = pool.hits;
+  out.pool_misses = pool.misses;
+  out.pool_evictions = pool.evictions;
+  out.pool_bytes = pool.bytes;
+  out.pool_frames = pool.frames;
+  out.pool_pinned_bytes = pool.pinned_bytes;
   {
     util::MutexLock lock(commit_mu_);
     out.snapshot_pages_read = retired_snapshot_stats_.pages_read;
@@ -1037,7 +895,7 @@ void Pager::CollectMetrics(obs::CollectionSink& sink) const {
   };
   counter("bp_pager_commits", "Committed transactions", s.commits);
   counter("bp_pager_rollbacks", "Rolled-back transactions", s.rollbacks);
-  counter("bp_pager_pages_written", "Pages written (journal or WAL)",
+  counter("bp_pager_pages_written", "Page images written to the WAL",
           s.pages_written);
   counter("bp_pager_pages_read", "Pages fetched from log/database file",
           s.pages_read);
@@ -1072,17 +930,15 @@ void Pager::CollectMetrics(obs::CollectionSink& sink) const {
   counter("bp_pager_decompress_reads",
           "Main-file reads that decoded a compressed frame",
           s.decompress_reads);
-  if (pool_ != nullptr) {
-    counter("bp_pool_hits", "Buffer pool lookup hits", s.pool_hits);
-    counter("bp_pool_misses", "Buffer pool lookup misses", s.pool_misses);
-    counter("bp_pool_evictions", "Buffer pool frames evicted",
-            s.pool_evictions);
-    gauge("bp_pool_bytes", "Resident buffer pool bytes", s.pool_bytes);
-    gauge("bp_pool_frames", "Resident buffer pool frames", s.pool_frames);
-    gauge("bp_pool_pinned_bytes",
-          "Pool bytes pinned by live readers (un-evictable floor)",
-          s.pool_pinned_bytes);
-  }
+  counter("bp_pool_hits", "Buffer pool lookup hits", s.pool_hits);
+  counter("bp_pool_misses", "Buffer pool lookup misses", s.pool_misses);
+  counter("bp_pool_evictions", "Buffer pool frames evicted",
+          s.pool_evictions);
+  gauge("bp_pool_bytes", "Resident buffer pool bytes", s.pool_bytes);
+  gauge("bp_pool_frames", "Resident buffer pool frames", s.pool_frames);
+  gauge("bp_pool_pinned_bytes",
+        "Pool bytes pinned by live readers (un-evictable floor)",
+        s.pool_pinned_bytes);
 }
 
 }  // namespace bp::storage

@@ -4,20 +4,13 @@
 // header (magic, page count, freelist, catalog root). All reads and
 // writes go through pinned page references; mutations are transactional.
 //
-// Two durability modes (PagerOptions::durability):
-//
-// kRollbackJournal (SQLite journal mode; 2 fsyncs per commit):
-//   1. During a transaction, dirty pages live only in the cache; the
-//      first mutation of each pre-existing page captures its before-image.
-//   2. Commit: write all before-images to <path>.journal, fsync it, then
-//      write the dirty pages to the database file, fsync it, then remove
-//      the journal. A crash before the journal fsync leaves the database
-//      untouched; a crash after it is rolled back on the next Open by
-//      replaying before-images and truncating to the journaled page count.
-//   3. Rollback: restore before-images in cache; nothing reached the file.
-//
-// kWal (write-ahead log; 1 fsync per commit, or per GROUP of commits):
-//   1. Commit appends the dirty pages plus a commit record to the one
+// Durability is a write-ahead log (1 fsync per commit, or per GROUP of
+// commits):
+//   1. During a transaction, dirty pages live only in the writer cache;
+//      the first mutation of each pre-existing page captures its
+//      before-image, which Rollback restores. Nothing reaches a file
+//      before Commit.
+//   2. Commit appends the dirty pages plus a commit record to the one
 //      log stream, <path>.wal, in one sequential write (see
 //      wal/wal_format.hpp); the database file is not touched at all.
 //      With wal_group_commit = N, the fsync is deferred until N
@@ -28,21 +21,18 @@
 //      fsync of <path>.wal covering it succeeded (SyncWal,
 //      FlushPending); the first failed log fsync is sticky, so nothing
 //      is acknowledged after it until the database is reopened.
-//   2. Reads hit the page cache; on a miss the latest committed version
-//      is fetched from the log (wal_index_) or, failing that, the
-//      database file.
-//   3. A checkpoint — when the log crosses wal_checkpoint_bytes, and at
+//   3. Reads hit the page cache; on a miss the latest committed version
+//      comes from the shared buffer pool, else the log (wal_index_),
+//      else the database file.
+//   4. A checkpoint — when the log crosses wal_checkpoint_bytes, and at
 //      clean close — syncs the log, folds its latest committed pages
 //      back into the database file, fsyncs it, and truncates the log.
 //      Pager::Open folds whatever committed prefix of the log survives
 //      a crash (see wal/checkpointer.hpp).
 //
-// Pick kRollbackJournal for read-mostly workloads with rare, large
-// transactions; pick kWal for sustained bursty ingest (the browser
-// provenance capture path), where commit latency is dominated by fsync
-// count and group commit amortizes it. Either mode recovers a database
-// left behind by the other (Open runs both recoveries), so the mode is
-// a per-open choice, not a file-format commitment.
+// Every pager reads through a versioned buffer pool (see
+// storage/buffer_pool.hpp): its own, sized by pool_bytes, or one
+// injected via PagerOptions::buffer_pool and shared with other pagers.
 //
 // Concurrency model: single writer, snapshot readers. Every mutating
 // entry point (Begin/Commit/Rollback, GetMutable, Allocate, Free,
@@ -51,14 +41,13 @@
 // (SyncWal, FlushPending) may additionally be called from a non-writer
 // thread — the log's fsync state is serialized by wal_mu_, and the
 // WalWriter publishes committed bytes atomically (see
-// wal/wal_writer.hpp). Concurrent reads go through BeginRead() (kWal
-// only), which returns a Snapshot — an immutable view of the committed
-// state at a commit sequence number (see storage/snapshot.hpp).
-// Snapshots are safe against a concurrently committing writer: commits
-// only append to the log, and checkpointing (the one operation that
-// rewrites bytes a snapshot may still need) is DEFERRED while any
-// snapshot is live. All snapshots must be released before the pager
-// closes.
+// wal/wal_writer.hpp). Concurrent reads go through BeginRead(), which
+// returns a Snapshot — an immutable view of the committed state at a
+// commit sequence number (see storage/snapshot.hpp). Snapshots are
+// safe against a concurrently committing writer: commits only append
+// to the log, and checkpointing (the one operation that rewrites bytes
+// a snapshot may still need) is DEFERRED while any snapshot is live.
+// All snapshots must be released before the pager closes.
 //
 // LOCK ORDER: commit_mu_ -> wal_mu_ (enforced by BP_ACQUIRED_BEFORE on
 // commit_mu_). Never acquire commit_mu_ while holding wal_mu_.
@@ -91,11 +80,6 @@ class WalWriter;
 
 namespace bp::storage {
 
-enum class DurabilityMode {
-  kRollbackJournal,  // before-images to <path>.journal; 2 fsyncs/commit
-  kWal,              // redo log to <path>.wal; <= 1 fsync/commit
-};
-
 struct PagerOptions {
   Env* env = Env::Posix();
   // Soft cap on cached pages; clean unpinned pages are evicted LRU beyond
@@ -103,29 +87,27 @@ struct PagerOptions {
   size_t cache_pages = 4096;
   // When false, skips fsync (faster tests/benches; crash safety off).
   bool sync = true;
-  DurabilityMode durability = DurabilityMode::kRollbackJournal;
-  // kWal only: CEILING on the number of committed transactions that
-  // share one log fsync. 1 = every commit is durable on return; N > 1
-  // trades a bounded durability lag (never consistency) for up to N×
-  // fewer fsyncs. Commit fsyncs when the window fills; a caller that
-  // knows the write stream went idle closes a partial window early with
+  // CEILING on the number of committed transactions that share one log
+  // fsync. 1 = every commit is durable on return; N > 1 trades a
+  // bounded durability lag (never consistency) for up to N× fewer
+  // fsyncs. Commit fsyncs when the window fills; a caller that knows
+  // the write stream went idle closes a partial window early with
   // FlushPending() (the async ingest committer's adaptive group commit).
   uint32_t wal_group_commit = 1;
-  // kWal only: checkpoint (fold the log into the database file) once
-  // the log exceeds this size.
+  // Checkpoint (fold the log into the database file) once the log
+  // exceeds this size.
   uint64_t wal_checkpoint_bytes = 4 << 20;
   // Byte budget of the versioned buffer pool the read path shares (all
-  // snapshots + the live pager; see storage/buffer_pool.hpp). Replaces
-  // the per-snapshot soft caps. 0 disables the pool: snapshots fall
-  // back to a private copy-on-read cache capped at cache_pages, and
-  // live misses always hit the log/database file. In WAL mode every
-  // commit publishes its page images into the pool as they are logged,
-  // so reader misses on hot, freshly written pages (tree roots, the
+  // snapshots + the live pager; see storage/buffer_pool.hpp). Must be
+  // > 0 unless buffer_pool is set (Open: InvalidArgument). Every commit
+  // publishes its page images into the pool as they are logged, so
+  // reader misses on hot, freshly written pages (tree roots, the
   // catalog) disappear.
   size_t pool_bytes = 32 << 20;
   // When set, this pager joins an existing pool (several databases
   // sharing one global byte budget) instead of creating its own from
-  // pool_bytes. Keys carry a per-pager owner id, so pagers never alias.
+  // pool_bytes, which is then ignored. Keys carry a per-pager owner id,
+  // so pagers never alias.
   std::shared_ptr<BufferPool> buffer_pool;
   // Page compression (see storage/compress.hpp). With mode=kFast,
   // checkpoints fold eligible pages into compressed frames (the WAL hot
@@ -154,12 +136,10 @@ struct PagerStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t evictions = 0;
-  // Durability cost, counted in BOTH durability modes: fsync calls
-  // issued, and the bytes each fsync made durable (0 when sync=false —
-  // nothing is made durable).
+  // Durability cost: fsync calls issued, and the bytes each fsync made
+  // durable (0 when sync=false — nothing is made durable).
   uint64_t fsyncs = 0;
   uint64_t bytes_synced = 0;
-  // kWal only.
   uint64_t wal_frames = 0;   // page images appended to the logs
   uint64_t checkpoints = 0;  // threshold + close-time folds
   // Group-commit windows closed (each retired >= 1 committed txn): by
@@ -169,8 +149,7 @@ struct PagerStats {
   uint64_t group_commits = 0;
   // Shared buffer pool, aggregated over every consumer of the pool this
   // pager belongs to (snapshots, the live read path, and — when
-  // PagerOptions::buffer_pool is shared — other pagers). All zero when
-  // the pool is disabled (pool_bytes = 0).
+  // PagerOptions::buffer_pool is shared — other pagers).
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
   uint64_t pool_evictions = 0;
@@ -294,17 +273,17 @@ class Pager {
   PageId catalog_root() const { return catalog_root_; }
   util::Status SetCatalogRoot(PageId root);
 
-  // Point-in-time statistics: the pager's own counters plus (when a
-  // pool is attached) the shared buffer pool's, folded into the pool_*
-  // fields — one coherent set for benches and facade reporting.
+  // Point-in-time statistics: the pager's own counters plus the shared
+  // buffer pool's, folded into the pool_* fields — one coherent set for
+  // benches and facade reporting.
   PagerStats stats() const BP_EXCLUDES(commit_mu_);
 
   // Compatibility stub for perfbench (see DomainStats). Thread-safe.
   DomainStats domain_stats(WriteDomain domain) const;
 
-  // The shared versioned buffer pool (null when pool_bytes was 0 and no
-  // pool was injected). Snapshots resolve through it; several pagers
-  // may share one instance via PagerOptions::buffer_pool.
+  // The shared versioned buffer pool; never null. Snapshots resolve
+  // through it; several pagers may share one instance via
+  // PagerOptions::buffer_pool.
   const std::shared_ptr<BufferPool>& buffer_pool() const { return pool_; }
 
   // Monotone counter bumped by every page mutation (GetMutable) and by
@@ -325,22 +304,14 @@ class Pager {
   // not yet folded). Writer thread only (peeks the main file).
   uint64_t OnDiskPageBytes(PageId id) const;
 
-  // Test hook: when set, Commit() stops right after the journal fsync and
-  // returns Aborted — simulating a crash between journal and database
-  // writes. The next Open() must recover.
-  void set_crash_after_journal_for_testing(bool v) {
-    crash_after_journal_ = v;
-  }
-
-  // kWal only: makes every commit so far durable (fsyncs <path>.wal,
-  // closing a partially filled group-commit window). This is the
-  // acknowledgment barrier. No-op in journal mode or when nothing is
-  // pending. Once a log fsync has failed, this and every later window
-  // sync, FlushPending and Checkpoint return that first error: the
-  // kernel may have dropped the pages the failed fsync was writing, so
-  // a later successful fsync proves nothing about them. Only a reopen
-  // (recovering from what the log really holds) clears it. Safe from a
-  // non-writer thread.
+  // Makes every commit so far durable (fsyncs <path>.wal, closing a
+  // partially filled group-commit window). This is the acknowledgment
+  // barrier. No-op when nothing is pending. Once a log fsync has
+  // failed, this and every later window sync, FlushPending and
+  // Checkpoint return that first error: the kernel may have dropped the
+  // pages the failed fsync was writing, so a later successful fsync
+  // proves nothing about them. Only a reopen (recovering from what the
+  // log really holds) clears it. Safe from a non-writer thread.
   util::Status SyncWal() BP_EXCLUDES(wal_mu_);
 
   // Adaptive group-commit hook: closes a partially filled window ONLY
@@ -348,24 +319,21 @@ class Pager {
   // so. The async ingest committer calls this whenever its queue runs
   // dry, which collapses tail latency at low event rates while the
   // wal_group_commit ceiling still amortizes fsyncs under load. Returns
-  // whether a flush ran (false: journal mode or nothing pending), or
-  // the sticky sync error (see SyncWal).
+  // whether a flush ran (false: nothing pending), or the sticky sync
+  // error (see SyncWal).
   util::Result<bool> FlushPending() BP_EXCLUDES(wal_mu_);
 
-  // Committed transactions whose log records await the next fsync
-  // (always 0 in journal mode, where every commit is durable on
-  // return). Thread-safe.
+  // Committed transactions whose log records await the next fsync.
+  // Thread-safe.
   uint32_t unsynced_commits() const {
     return unsynced_commits_.load(std::memory_order_relaxed);
   }
 
-  // kWal only: forces a checkpoint now (normally driven by
-  // wal_checkpoint_bytes and clean close). FailedPrecondition when a
-  // transaction is open or live snapshots still pin WAL frames; the
-  // sticky sync error after a failed log fsync (see SyncWal).
+  // Forces a checkpoint now (normally driven by wal_checkpoint_bytes and
+  // clean close). FailedPrecondition when a transaction is open or live
+  // snapshots still pin WAL frames; the sticky sync error after a
+  // failed log fsync (see SyncWal).
   util::Status Checkpoint() BP_EXCLUDES(commit_mu_, wal_mu_);
-
-  DurabilityMode durability() const { return options_.durability; }
 
   // --- snapshots (read transactions) ---------------------------------
   //
@@ -373,12 +341,11 @@ class Pager {
   // number, page count, catalog root, and the log offsets of every
   // committed page still living in the write-ahead log — into an
   // immutable view that any number of reader threads can read while
-  // this (single-writer) pager keeps committing. kWal only: the log is
-  // the device that makes committed history immutable; journal mode
-  // rewrites the database file in place at every commit and returns
-  // FailedPrecondition. Thread-safe (may be called off the writer
-  // thread). While snapshots are live, checkpoints are deferred and the
-  // log grows; release snapshots promptly under sustained ingest.
+  // this (single-writer) pager keeps committing: the log is the device
+  // that makes committed history immutable. Thread-safe (may be called
+  // off the writer thread). While snapshots are live, checkpoints are
+  // deferred and the log grows; release snapshots promptly under
+  // sustained ingest.
   util::Result<std::unique_ptr<Snapshot>> BeginRead() BP_EXCLUDES(commit_mu_);
 
   // Snapshots currently alive (they pin WAL frames and defer
@@ -390,11 +357,9 @@ class Pager {
   friend class Snapshot;
 
   // Out of line: members include unique_ptr<wal::WalWriter>, which is an
-  // incomplete type here.
+  // incomplete type here. Creates or joins the buffer pool, so pool_ is
+  // set for the pager's whole life.
   Pager(std::string path, PagerOptions options);
-
-  // True when the pager runs in WAL mode.
-  bool wal_mode() const { return wal_ != nullptr; }
 
   // Publish the current committed state into published_ under
   // commit_mu_ so BeginRead (any thread) sees either the pre- or
@@ -421,12 +386,11 @@ class Pager {
   util::Status LoadHeader();
   std::string SerializedHeader() const;
   util::Status WriteHeaderToFrame();
-  util::Status RecoverFromJournal();
   util::Status RecoverFromWal();
-  util::Status CommitViaJournal(const std::vector<internal::Frame*>& dirty);
-  util::Status CommitViaWal(const std::vector<internal::Frame*>& dirty);
+  // Appends the transaction's dirty pages and its commit record to the
+  // log, and publishes the images into the pool.
+  util::Status AppendToLog(const std::vector<internal::Frame*>& dirty);
   util::Status MaybeCheckpoint();
-  std::string JournalPath() const { return path_ + ".journal"; }
   std::string WalPath() const { return path_ + ".wal"; }
 
   // Fsyncs the log's committed-but-unsynced transactions, or returns
@@ -434,7 +398,9 @@ class Pager {
   util::Status SyncLocked() BP_REQUIRES(wal_mu_);
 
   util::Result<internal::Frame*> FetchFrame(PageId id);
-  void JournalBeforeImage(internal::Frame& frame);
+  // Records the pre-transaction image of `frame` (or marks it fresh) on
+  // its first mutation in the transaction; Rollback restores from it.
+  void CaptureBeforeImage(internal::Frame& frame);
   void Unpin(internal::Frame* frame);
   void MaybeEvict();
 
@@ -442,11 +408,11 @@ class Pager {
   void LruTouch(internal::Frame* frame);
   void LruRemove(internal::Frame* frame);
 
-  // --- buffer pool (WAL mode; writer thread only) --------------------
+  // --- buffer pool (writer thread only) ------------------------------
   // The image key of `id`'s latest COMMITTED image, resolvable by any
   // reader: log offset when the image lives in the log, main-file key
   // when checkpointed. false when the page has no committed image yet
-  // (allocated this transaction) or the pool is off.
+  // (allocated this transaction).
   bool CommittedImageKey(PageId id, PageImageKey* key) const;
   // Publishes a clean committed image (copy or move) into the pool.
   void PublishToPool(const PageImageKey& key, std::string&& image);
@@ -463,12 +429,10 @@ class Pager {
   internal::Frame lru_;  // sentinel: lru_.lru_next = MRU end
   uint64_t change_count_ = 0;
 
-  // Shared versioned buffer pool (see storage/buffer_pool.hpp). Null
-  // when disabled. Only consulted in WAL mode: journal mode rewrites
-  // main-file pages in place at every commit, which would invalidate
-  // main-file image keys mid-generation.
-  std::shared_ptr<BufferPool> pool_;
-  uint32_t pool_owner_ = 0;
+  // Shared versioned buffer pool (see storage/buffer_pool.hpp); set by
+  // the constructor, never null.
+  const std::shared_ptr<BufferPool> pool_;
+  const uint32_t pool_owner_;
   // Checkpoint generation of pool image keys: bumped by every
   // checkpoint that folded pages, which rewrites main-file pages and
   // frees the log's offsets for reuse, so no stale key can resolve.
@@ -489,16 +453,16 @@ class Pager {
   // Pages allocated in this transaction (no before-image; rollback drops).
   std::unordered_map<PageId, bool> fresh_pages_;
   uint32_t txn_orig_page_count_ = 0;
-  // Pages physically valid in the main database file. In journal mode
-  // this tracks page_count_ at the last commit; in WAL mode it only
-  // advances at checkpoints — committed pages beyond it live in the
-  // log and are fetched through wal_index_.
+  // Pages physically valid in the main database file. Advances only at
+  // checkpoints — committed pages beyond it live in the log and are
+  // fetched through wal_index_.
   uint32_t main_file_pages_ = 0;
 
-  // --- WAL state (kWal mode only) ------------------------------------
-  // The log stream (<path>.wal); null in journal mode. Appends belong to
-  // the single writer; fsyncs may run on another thread and hand off
-  // through WalWriter's atomic committed bytes (wal/wal_writer.hpp).
+  // --- WAL state -----------------------------------------------------
+  // The log stream (<path>.wal); null only while Open has not reached
+  // it yet. Appends belong to the single writer; fsyncs may run on
+  // another thread and hand off through WalWriter's atomic committed
+  // bytes (wal/wal_writer.hpp).
   std::unique_ptr<wal::WalWriter> wal_;
   // Serializes log fsyncs against each other and against checkpoint
   // truncation.
@@ -539,8 +503,6 @@ class Pager {
   uint32_t live_snapshots_ BP_GUARDED_BY(commit_mu_) = 0;
   // Totals folded in by ReleaseSnapshot.
   SnapshotStats retired_snapshot_stats_ BP_GUARDED_BY(commit_mu_);
-
-  bool crash_after_journal_ = false;
 
   // One hot counter, alone on its cache line — the same cell shape
   // obs::Counter stripes over. Single-writer: mutations are serialized

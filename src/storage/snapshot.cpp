@@ -51,18 +51,15 @@ Result<std::shared_ptr<const std::string>> Snapshot::ReadPage(
 
   PageImageKey key{pool_owner_, id, generation_,
                    in_wal ? wal_hit->second : kMainFileImage};
-  if (pool_ != nullptr) {
-    if (std::shared_ptr<const std::string> image = pool_->Lookup(key)) {
-      pool_hits_.fetch_add(1, std::memory_order_relaxed);
-      util::MutexLock lock(mu_);
-      if (cache_.size() < cache_cap_) cache_.emplace(id, image);
-      return image;
-    }
+  if (std::shared_ptr<const std::string> image = pool_->Lookup(key)) {
+    pool_hits_.fetch_add(1, std::memory_order_relaxed);
+    util::MutexLock lock(mu_);
+    if (cache_.size() < cache_cap_) cache_.emplace(id, image);
+    return image;
   }
 
-  // Copy-on-read, outside any lock: concurrent first reads of the same
-  // page both fetch; the pool adopts one winner (the loser's copy dies),
-  // the fallback cache keeps whichever inserted first.
+  // Read outside any lock: concurrent first reads of the same page both
+  // fetch, and the pool adopts one winner (the loser's copy dies).
   auto page = std::make_shared<std::string>();
   if (in_wal) {
     // Latest committed image as of this snapshot lives in the log. The
@@ -95,11 +92,8 @@ Result<std::shared_ptr<const std::string>> Snapshot::ReadPage(
   }
   pages_read_.fetch_add(1, std::memory_order_relaxed);
 
-  std::shared_ptr<const std::string> out = std::move(page);
-  if (pool_ != nullptr) {
-    // The pool adopts one winner per image; memoize whatever it keeps.
-    out = pool_->Insert(key, std::move(out));
-  }
+  // The pool adopts one winner per image; memoize whatever it keeps.
+  std::shared_ptr<const std::string> out = pool_->Insert(key, std::move(page));
   util::MutexLock lock(mu_);
   if (cache_.size() < cache_cap_) {
     auto [it, inserted] = cache_.emplace(id, out);

@@ -1,4 +1,4 @@
-// Snapshot: a consistent, immutable read view of a WAL-mode database.
+// Snapshot: a consistent, immutable read view of a database.
 //
 // BeginRead() freezes the committed state at a commit sequence number,
 // along with the page count, catalog root, checkpoint generation, and a
@@ -8,9 +8,9 @@
 //   1. the snapshot's own L1 memo — a map from page id to the frame
 //      this snapshot already resolved. A frozen view's page -> image
 //      mapping never changes, so memoizing is free correctness-wise,
-//      and the memo holds POINTERS into pool frames, not copies: it
-//      restores the old private-cache hit cost (one u32 map find)
-//      without duplicating a single page byte,
+//      and the memo holds POINTERS into pool frames, not copies: a
+//      repeat read costs one u32 map find without duplicating a single
+//      page byte,
 //   2. the pager's shared versioned buffer pool (storage/buffer_pool
 //      .hpp), keyed by page image identity — (page, generation, WAL
 //      offset) for log-resident images, (page, generation) for
@@ -21,22 +21,19 @@
 //      between checkpoints, so offsets recorded at snapshot time stay
 //      valid no matter how far the writer has advanced), and
 //   4. the main database file (stable while snapshots are live, because
-//      checkpointing — the only writer of that file in WAL mode — is
-//      deferred until every snapshot is released).
+//      checkpointing — the only writer of that file — is deferred until
+//      every snapshot is released).
 //
 // A log/database read (a pool miss) is inserted back into the pool for
-// every later reader. When the pool is disabled (PagerOptions::
-// pool_bytes = 0), the L1 holds private page copies soft-capped at
-// cache_pages — the pre-pool behavior — and past that cap reads stay
-// read-through (correct, just uncached).
+// every later reader.
 //
 // The writer's in-memory page cache is never consulted, so uncommitted
 // transaction state and post-snapshot commits are invisible by
 // construction; there is no copy-out when the writer dirties a page.
 //
 // Thread safety: a Snapshot is safe to share across reader threads
-// (the pool is sharded; the fallback cache takes the snapshot's own
-// mutex), and any number of snapshots may be read while the single
+// (the pool is sharded; the L1 memo takes the snapshot's own mutex),
+// and any number of snapshots may be read while the single
 // writer keeps committing. A snapshot must be released before its
 // Pager closes.
 #pragma once
@@ -104,15 +101,14 @@ class Snapshot {
   // republished, not mutated).
   std::shared_ptr<const std::unordered_map<PageId, uint64_t>> wal_index_;
 
-  // The pager's shared versioned buffer pool; null when disabled.
+  // The pager's shared versioned buffer pool; never null.
   std::shared_ptr<BufferPool> pool_;
   uint32_t pool_owner_ = 0;
 
-  // L1 memo: page -> resolved frame. With a pool these are pointers
-  // into shared pool frames (no byte duplication; holding them pins the
-  // working set against eviction); without one they are private page
-  // copies. Soft-capped: past `cache_cap_` pages reads stay
-  // read-through (correct, just uncached).
+  // L1 memo: page -> resolved frame, as pointers into shared pool
+  // frames (no byte duplication; holding them pins the working set
+  // against eviction). Soft-capped: past `cache_cap_` pages reads still
+  // resolve through the pool, just without the memo.
   mutable util::Mutex mu_;
   mutable std::unordered_map<PageId, std::shared_ptr<const std::string>>
       cache_ BP_GUARDED_BY(mu_);

@@ -1,12 +1,14 @@
 // Property tests: the B+tree must behave exactly like std::map under
 // arbitrary interleavings of Put/Get/Delete/scan, across a sweep of key
 // distributions, value sizes (inline vs overflow), and operation mixes;
-// and the pager must recover the committed prefix after a crash at any
-// commit.
+// and the pager must recover the committed prefix after a crash inside
+// any commit's log append.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "storage/btree.hpp"
 #include "storage/db.hpp"
@@ -129,8 +131,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Crash-recovery property: run random committed batches; at a random
-// commit, crash (journal synced, database write torn); after reopen the
-// tree must equal the model as of the last *successful* commit.
+// commit, lose power partway through that batch's log append (the write
+// torn at a random byte); after reopen the tree must equal the model as
+// of the last *successful* commit.
 struct CrashParams {
   uint64_t seed;
   int batches;
@@ -148,6 +151,11 @@ TEST_P(CrashRecoveryTest, RecoversToLastCommittedState) {
   PagerOptions opts;
   opts.env = &env;
   PageId root;
+  std::map<std::string, std::string> committed;
+  // The files as they stood before the crash batch's commit, and every
+  // write that commit issued.
+  std::map<std::string, std::string> before_crash;
+  std::vector<MemEnvOp> crash_ops;
   {
     auto pager_or = Pager::Open("db", opts);
     ASSERT_TRUE(pager_or.ok());
@@ -159,12 +167,10 @@ TEST_P(CrashRecoveryTest, RecoversToLastCommittedState) {
     ASSERT_TRUE(pager->Commit().ok());
 
     BTree tree(*pager, root);
-    std::map<std::string, std::string> committed;
     std::map<std::string, std::string> pending;
 
     int crash_batch = static_cast<int>(rng.Uniform(params.batches));
     for (int batch = 0; batch <= crash_batch; ++batch) {
-      bool crash_now = batch == crash_batch;
       pending = committed;
       ASSERT_TRUE(pager->Begin().ok());
       for (int op = 0; op < params.ops_per_batch; ++op) {
@@ -180,46 +186,49 @@ TEST_P(CrashRecoveryTest, RecoversToLastCommittedState) {
           pending[key] = value;
         }
       }
-      if (crash_now) {
-        pager->set_crash_after_journal_for_testing(true);
-        Status st = pager->Commit();
-        ASSERT_EQ(st.code(), util::StatusCode::kAborted);
-        // Tear the database file to emulate a partial page write.
-        auto file = env.Open("db");
-        ASSERT_TRUE(file.ok());
-        auto size = (*file)->Size();
-        ASSERT_TRUE(size.ok());
-        if (*size > kPageSize) {
-          ASSERT_TRUE(
-              (*file)
-                  ->Write(*size - kPageSize / 2, std::string(64, '\xCC'))
-                  .ok());
-        }
+      if (batch == crash_batch) {
+        before_crash = env.SnapshotAll();
+        env.StartOpLog();
+        ASSERT_TRUE(pager->Commit().ok());
+        crash_ops = env.StopOpLog();
       } else {
         ASSERT_TRUE(pager->Commit().ok());
         committed = pending;
       }
     }
-
-    // Reopen (recovery path) and verify every committed key/value — and
-    // nothing else — survived.
-    auto reopened_or = Pager::Open("db", opts);
-    ASSERT_TRUE(reopened_or.ok());
-    BTree recovered(**reopened_or, root);
-    auto it = committed.begin();
-    ASSERT_TRUE(recovered
-                    .ForEach([&](std::string_view key,
-                                 std::string_view value) {
-                      EXPECT_NE(it, committed.end());
-                      if (it == committed.end()) return false;
-                      EXPECT_EQ(key, it->first);
-                      EXPECT_EQ(value, it->second);
-                      ++it;
-                      return true;
-                    })
-                    .ok());
-    EXPECT_EQ(it, committed.end());
   }
+
+  // Power loss inside the crash batch's log append: restore the files
+  // from before that commit (discarding the clean close above) and
+  // replay its writes, tearing the append at a random byte.
+  auto is_log_append = [](const MemEnvOp& op) {
+    return op.kind == MemEnvOp::Kind::kWrite && op.file == "db.wal";
+  };
+  auto append = std::find_if(crash_ops.begin(), crash_ops.end(), is_log_append);
+  ASSERT_NE(append, crash_ops.end());
+  const size_t append_at = static_cast<size_t>(append - crash_ops.begin());
+  const int64_t torn_bytes = rng.UniformRange(
+      1, static_cast<int64_t>(append->data.size()) - 1);
+  env.RestoreAll(before_crash);
+  ASSERT_TRUE(env.ApplyOps(crash_ops, append_at, torn_bytes).ok());
+
+  // Reopen (recovery path) and verify every committed key/value — and
+  // nothing else — survived.
+  auto reopened_or = Pager::Open("db", opts);
+  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+  BTree recovered(**reopened_or, root);
+  auto it = committed.begin();
+  ASSERT_TRUE(recovered
+                  .ForEach([&](std::string_view key, std::string_view value) {
+                    EXPECT_NE(it, committed.end());
+                    if (it == committed.end()) return false;
+                    EXPECT_EQ(key, it->first);
+                    EXPECT_EQ(value, it->second);
+                    ++it;
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(it, committed.end());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -13,8 +13,10 @@
 //      (plus torn cuts through the next write), restore, replay, REOPEN,
 //      and require the recovered database to be exactly a transaction
 //      boundary state.
-//   2. LeftoverSecondStreamTest — a <db>.wal1 written by a two-stream
-//      build makes Open fail instead of being dropped.
+//   2. LeftoverSecondStreamTest / LeftoverJournalTest — a <db>.wal1
+//      written by a two-stream build, or a hot <db>.journal written by
+//      a build with a rollback-journal mode, makes Open fail instead of
+//      being dropped.
 //
 // Runs under TSan and ASan+UBSan in CI like the rest of the suite.
 #include <gtest/gtest.h>
@@ -27,6 +29,7 @@
 #include "storage/db.hpp"
 #include "storage/env.hpp"
 #include "storage/pager.hpp"
+#include "util/hash.hpp"
 #include "util/serde.hpp"
 #include "wal/wal_writer.hpp"
 
@@ -35,7 +38,6 @@ namespace {
 
 using storage::Db;
 using storage::DbOptions;
-using storage::DurabilityMode;
 using storage::kPageSize;
 using storage::MemEnv;
 using storage::MemEnvOp;
@@ -90,7 +92,6 @@ void RunInterleavedCrashInjection(
   MemEnv env;
   DbOptions opts;
   opts.env = &env;
-  opts.durability = DurabilityMode::kWal;
   opts.wal_group_commit = wal_group_commit;
   opts.wal_checkpoint_bytes = checkpoint_bytes;
   opts.compression.mode = compression;
@@ -256,7 +257,6 @@ TEST(LeftoverSecondStreamTest, OpenFailsAndKeepsTheFile) {
   MemEnv env;
   DbOptions opts;
   opts.env = &env;
-  opts.durability = DurabilityMode::kWal;
   {
     auto db = Db::Open("db", opts);
     ASSERT_TRUE(db.ok());
@@ -274,6 +274,49 @@ TEST(LeftoverSecondStreamTest, OpenFailsAndKeepsTheFile) {
   EXPECT_NE(db.status().ToString().find("db.wal1"), std::string::npos)
       << db.status().ToString();
   EXPECT_TRUE(env.Exists("db.wal1"));
+}
+
+// ------------------------------------------ leftover rollback journal
+
+TEST(LeftoverJournalTest, OpenFailsAndKeepsTheFile) {
+  // Builds with a rollback-journal mode left <db>.journal behind when a
+  // commit crashed while rewriting the database file in place. Only the
+  // journal's before-images repair such a file, so Open must refuse —
+  // naming the journal — and leave every file untouched.
+  MemEnv env;
+  DbOptions opts;
+  opts.env = &env;
+  {
+    auto db = Db::Open("db", opts);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->CreateTree("g").ok());
+  }
+  // A well-formed hot journal in that layout: magic "BPJL", commit
+  // sequence, page size, original page count, entry count, then one
+  // before-image entry (page id, page bytes, FNV-1a checksum).
+  const std::string before_image(kPageSize, 'j');
+  util::Writer journal;
+  journal.PutU32(0x42504a4c);
+  journal.PutU64(2);
+  journal.PutU32(kPageSize);
+  journal.PutU32(3);
+  journal.PutU32(1);
+  journal.PutU32(1);
+  journal.PutRaw(before_image);
+  journal.PutU64(util::Fnv1a64(before_image));
+  {
+    auto file = env.Open("db.journal");
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Write(0, journal.data()).ok());
+  }
+  const std::map<std::string, std::string> files = env.SnapshotAll();
+
+  auto db = Db::Open("db", opts);
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(db.status().ToString().find("db.journal"), std::string::npos)
+      << db.status().ToString();
+  EXPECT_EQ(env.SnapshotAll(), files);
 }
 
 }  // namespace

@@ -283,30 +283,6 @@ TEST_F(ProvenanceDbTest, RolledBackBatchDoesNotPoisonTheTextIndex) {
   EXPECT_EQ(found->pages[0].url, "http://q2.example/");
 }
 
-TEST_F(ProvenanceDbTest, JournalModeFallsBackToSerializedQueries) {
-  storage::MemEnv env;
-  ProvenanceDb::Options options;
-  options.db.env = &env;
-  options.db.durability = storage::DurabilityMode::kRollbackJournal;
-  auto db = ProvenanceDb::Open("journal.db", options);
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-
-  sim::ScenarioBuilder s;
-  s.Visit(1, "http://a.example/", "alpha page",
-          capture::NavigationAction::kTyped);
-  ASSERT_TRUE((*db)->IngestAll(s.events()).ok());
-
-  // No snapshots in journal mode, but the one-shot queries still work
-  // (serialized against ingestion) and the durability controls no-op.
-  EXPECT_EQ((*db)->BeginSnapshot().status().code(),
-            util::StatusCode::kFailedPrecondition);
-  auto hits = (*db)->Search("alpha");
-  ASSERT_TRUE(hits.ok());
-  EXPECT_FALSE(hits->pages.empty());
-  EXPECT_TRUE((*db)->Sync().ok());
-  EXPECT_TRUE((*db)->Checkpoint().ok());
-}
-
 TEST_F(ProvenanceDbTest, ConcurrentReadersDuringIngest) {
   IngestRosebudSession();
 
@@ -492,6 +468,14 @@ TEST_F(ProvenanceDbTest, OpenRejectsUnusableOptions) {
   // async makes the zero harmless and Open must accept it.
   options.async.enabled = false;
   EXPECT_TRUE(ProvenanceDb::Open("ok.db", options).ok());
+
+  // Every database reads through a buffer pool: a zero budget is only
+  // meaningful when a pool is injected (whose own budget then applies).
+  options = ProvenanceDb::Options();
+  options.db.env = &env_;
+  options.db.pool_bytes = 0;
+  EXPECT_EQ(ProvenanceDb::Open("bad.db", options).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST_F(ProvenanceDbTest, CloseDrainsCheckpointsAndSupportsReopen) {

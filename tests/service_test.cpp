@@ -82,6 +82,12 @@ TEST_F(ServiceTest, CreateRejectsInvalidOptions) {
   options.db.ingest_batch = 0;
   EXPECT_EQ(ProvenanceService::Create("/p", options).status().code(),
             util::StatusCode::kInvalidArgument);
+
+  // No pool to share and no budget to create one from.
+  options = BaseOptions();
+  options.db.db.pool_bytes = 0;
+  EXPECT_EQ(ProvenanceService::Create("/p", options).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST_F(ServiceTest, RejectsInvalidProfileIds) {

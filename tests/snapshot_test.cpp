@@ -36,12 +36,10 @@ std::string ValueFor(uint64_t id) {
 
 class SnapshotTest : public ::testing::Test {
  protected:
-  std::unique_ptr<Db> OpenDb(DurabilityMode mode = DurabilityMode::kWal,
-                             uint64_t checkpoint_bytes = 4 << 20) {
+  std::unique_ptr<Db> OpenDb(uint64_t checkpoint_bytes = 4 << 20) {
     DbOptions opts;
     opts.env = &env_;
     opts.sync = false;
-    opts.durability = mode;
     opts.wal_checkpoint_bytes = checkpoint_bytes;
     auto db = Db::Open("snap.db", opts);
     EXPECT_TRUE(db.ok()) << db.status().ToString();
@@ -135,13 +133,6 @@ TEST_F(SnapshotTest, OverflowValuesReadThroughSnapshot) {
   EXPECT_EQ(*tree->Get("big"), "small now");
 }
 
-TEST_F(SnapshotTest, JournalModeRejectsSnapshots) {
-  auto db = OpenDb(DurabilityMode::kRollbackJournal);
-  auto snap = db->BeginRead();
-  ASSERT_FALSE(snap.ok());
-  EXPECT_EQ(snap.status().code(), util::StatusCode::kFailedPrecondition);
-}
-
 // Satellite regression: the documented Checkpoint preconditions are
 // enforced as FailedPrecondition, not silently ignored.
 TEST_F(SnapshotTest, CheckpointFailsWithOpenTransactionOrLiveSnapshot) {
@@ -178,7 +169,6 @@ TEST_F(SnapshotTest, SnapshotDecodesCompressedSlotsBeforePooling) {
   DbOptions opts;
   opts.env = &env_;
   opts.sync = false;
-  opts.durability = DurabilityMode::kWal;
   opts.compression.mode = compress::CompressionOptions::Mode::kFast;
   opts.cache_pages = 8;  // force writer cache misses onto the pool
   opts.pool_bytes = BufferPool::kShards * 2 * kPageSize;
@@ -225,7 +215,7 @@ TEST_F(SnapshotTest, SnapshotDecodesCompressedSlotsBeforePooling) {
 
 TEST_F(SnapshotTest, AutomaticCheckpointDefersWhileSnapshotLive) {
   // Tiny threshold: normally every commit would checkpoint.
-  auto db = OpenDb(DurabilityMode::kWal, /*checkpoint_bytes=*/4096);
+  auto db = OpenDb(/*checkpoint_bytes=*/4096);
   BTree* tree = *db->OpenOrCreateTree("t");
   PutRange(*db, tree, 1, 51);
   const uint64_t folded_before = db->pager().stats().checkpoints;
@@ -277,31 +267,6 @@ TEST_F(SnapshotTest, SharedPoolServesRepeatedReads) {
   EXPECT_GT(db->pager().stats().pool_hits, 0u);
 }
 
-TEST_F(SnapshotTest, PrivateCacheFallbackWhenPoolDisabled) {
-  // pool_bytes = 0 restores the pre-pool behavior: the first read of a
-  // page goes to the log/database file, repeats hit the snapshot's own
-  // copy-on-read cache.
-  DbOptions opts;
-  opts.env = &env_;
-  opts.sync = false;
-  opts.durability = DurabilityMode::kWal;
-  opts.pool_bytes = 0;
-  auto db = Db::Open("snap_nopool.db", opts);
-  ASSERT_TRUE(db.ok());
-  BTree* tree = *(*db)->OpenOrCreateTree("t");
-  PutRange(**db, tree, 1, 101);
-  auto snap = (*db)->BeginRead();
-  ASSERT_TRUE(snap.ok());
-  BTree frozen = tree->BoundAt(**snap);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(*frozen.Count(), 100u);
-  }
-  SnapshotStats stats = (*snap)->stats();
-  EXPECT_GT(stats.pages_read, 0u);
-  EXPECT_GT(stats.cache_hits, 0u);
-  EXPECT_EQ((*db)->pager().stats().pool_hits, 0u);
-}
-
 TEST_F(SnapshotTest, PinnedPagesSurvivePoolThrashByteForByte) {
   // A pool whose budget is a handful of pages, thrashed hard while a
   // reader still holds page images (as every live PageView does): the
@@ -310,7 +275,6 @@ TEST_F(SnapshotTest, PinnedPagesSurvivePoolThrashByteForByte) {
   DbOptions opts;
   opts.env = &env_;
   opts.sync = false;
-  opts.durability = DurabilityMode::kWal;
   opts.pool_bytes = BufferPool::kShards * 2 * kPageSize;
   auto db = Db::Open("snap_thrash.db", opts);
   ASSERT_TRUE(db.ok());
@@ -377,7 +341,6 @@ TEST_F(SnapshotTest, MultiSnapshotReadsStayStableWhilePoolThrashes) {
   DbOptions opts;
   opts.env = &env_;
   opts.sync = false;
-  opts.durability = DurabilityMode::kWal;
   opts.pool_bytes = BufferPool::kShards * 2 * kPageSize;  // thrash hard
   auto opened = Db::Open("snap_stress.db", opts);
   ASSERT_TRUE(opened.ok());

@@ -1,5 +1,5 @@
-// Unit tests for the storage engine: env, pager (transactions, crash
-// recovery, freelist), btree basics, db catalog, typed tables, indexes.
+// Unit tests for the storage engine: env, pager (transactions, rollback,
+// freelist, eviction), btree basics, db catalog, typed tables, indexes.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -244,77 +244,6 @@ TEST_F(PagerTest, FreelistReusesPages) {
   EXPECT_EQ(*c, *a);  // reused
   EXPECT_EQ(pager->freelist_length(), 0u);
   ASSERT_TRUE(pager->Commit().ok());
-}
-
-TEST_F(PagerTest, CrashAfterJournalSyncRecovers) {
-  // Commit A durably; begin B, mutate, then crash mid-commit. Reopen must
-  // roll back to state A.
-  {
-    auto pager = OpenPager();
-    ASSERT_TRUE(pager->Begin().ok());
-    auto id = pager->Allocate();
-    ASSERT_TRUE(id.ok());
-    {
-      auto ref = pager->GetMutable(*id);
-      ref->mutable_data()[0] = 'A';
-    }
-    ASSERT_TRUE(pager->Commit().ok());
-
-    ASSERT_TRUE(pager->Begin().ok());
-    {
-      auto ref = pager->GetMutable(*id);
-      ref->mutable_data()[0] = 'B';
-    }
-    pager->set_crash_after_journal_for_testing(true);
-    EXPECT_EQ(pager->Commit().code(), util::StatusCode::kAborted);
-    // Simulate the process dying: drop the pager without cleanup.
-  }
-  EXPECT_TRUE(env_.Exists("db.journal"));
-  {
-    auto pager = OpenPager();  // recovery runs here
-    auto ref = pager->Get(1);
-    ASSERT_TRUE(ref.ok());
-    EXPECT_EQ(ref->data()[0], 'A');
-    EXPECT_FALSE(env_.Exists("db.journal"));
-  }
-}
-
-TEST_F(PagerTest, CrashMidDatabaseWriteRecovers) {
-  // Take a filesystem snapshot right after a crash-marked commit (journal
-  // synced, database partially written is the worst case we emulate by
-  // writing garbage into the db file before reopening).
-  auto pager = OpenPager();
-  ASSERT_TRUE(pager->Begin().ok());
-  auto id = pager->Allocate();
-  ASSERT_TRUE(id.ok());
-  {
-    auto ref = pager->GetMutable(*id);
-    ref->mutable_data()[0] = 'A';
-  }
-  ASSERT_TRUE(pager->Commit().ok());
-
-  ASSERT_TRUE(pager->Begin().ok());
-  {
-    auto ref = pager->GetMutable(*id);
-    ref->mutable_data()[0] = 'B';
-  }
-  pager->set_crash_after_journal_for_testing(true);
-  EXPECT_EQ(pager->Commit().code(), util::StatusCode::kAborted);
-
-  // Corrupt the committed page region, as if the crash interrupted the
-  // database write halfway through.
-  auto file = env_.Open("db");
-  ASSERT_TRUE((*file)->Write(uint64_t{1} * kPageSize, "garbage!").ok());
-
-  auto reopened = Pager::Open("db", [&] {
-    PagerOptions o;
-    o.env = &env_;
-    return o;
-  }());
-  ASSERT_TRUE(reopened.ok());
-  auto ref = (*reopened)->Get(1);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_EQ(ref->data()[0], 'A');
 }
 
 TEST_F(PagerTest, MutationOutsideTransactionThrows) {
@@ -677,7 +606,6 @@ TEST(DbTest, CompressedCheckpointSurvivesReopenAndModeSwitch) {
   MemEnv env;
   DbOptions opts;
   opts.env = &env;
-  opts.durability = DurabilityMode::kWal;
   opts.compression.mode = compress::CompressionOptions::Mode::kFast;
 
   std::map<std::string, std::string> model;
