@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/hash.hpp"
 #include "util/require.hpp"
 #include "util/serde.hpp"
 #include "util/strings.hpp"
@@ -16,16 +17,35 @@ using util::Writer;
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
+// Header bytes the checksum of a kFrameMagic frame covers: magic,
+// codec, raw_size and payload_size — everything before the checksum.
+constexpr size_t kChecksummedHeaderBytes = kFrameHeaderSize - 8;
 
-uint64_t Fnv1a64(std::string_view data) {
-  uint64_t h = kFnvOffset;
-  for (char c : data) {
+// No codec emits more than 255 output bytes per payload byte: an LZ
+// run-length byte adds at most 255, a kIntDelta varint byte 8, a kNone
+// byte 1. A legacy header's raw_size is unchecked, so it is bounded by
+// this before anything is sized from it.
+constexpr uint64_t kMaxBytesPerPayloadByte = 255;
+
+// FNV-1a offset basis of kLegacyFrameMagic frames. One digit short of
+// the standard 14695981039346656037 (util::Fnv1a64), but every legacy
+// frame on disk was checksummed with it: "fixing" it would turn every
+// such page into Corruption.
+constexpr uint64_t kLegacyFnvOffset = 1469598103934665603ull;
+
+uint64_t LegacyPayloadChecksum(std::string_view payload) {
+  uint64_t h = kLegacyFnvOffset;
+  for (char c : payload) {
     h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
+    h *= 1099511628211ull;
   }
   return h;
+}
+
+// Checksum of a kFrameMagic frame; `header` is its first
+// kChecksummedHeaderBytes bytes.
+uint64_t FrameChecksum(std::string_view header, std::string_view payload) {
+  return util::Xxh64(payload, util::Xxh64(header));
 }
 
 // --- LZ codec ----------------------------------------------------------
@@ -116,60 +136,87 @@ std::string LzCompress(std::string_view in) {
   return out;
 }
 
-// Reads a 255-run extension: adds bytes until one is != 255. Sets the
-// reader's error flag (via ReadU8's bounds check) on truncation. The
-// accumulated value is capped against `limit` so corrupt extensions
-// cannot overflow size arithmetic.
-bool ReadRunLength(Reader& r, size_t limit, size_t* len) {
+// Reads a 255-run extension at in[*pos]: adds bytes until one is
+// != 255. False on truncation, or once the value passes `limit` (which
+// keeps corrupt extensions from overflowing size arithmetic).
+bool ReadRunLength(std::string_view in, size_t* pos, size_t limit,
+                   size_t* len) {
   while (true) {
-    const uint8_t b = r.ReadU8();
-    if (!r.ok()) return false;
+    if (*pos >= in.size()) return false;
+    const uint8_t b = static_cast<uint8_t>(in[(*pos)++]);
     *len += b;
     if (*len > limit) return false;
     if (b != 0xff) return true;
   }
 }
 
+// Output slack past raw_size: a literal run or match of at most this
+// many bytes is copied as one fixed-size block, whose overshoot lands in
+// bytes a later copy (or the final resize) replaces.
+constexpr size_t kCopyBlock = 16;
+
 Status LzDecompress(std::string_view payload, size_t raw_size,
                     std::string* out) {
-  out->clear();
-  out->reserve(raw_size);
-  Reader r(payload);
-  while (out->size() < raw_size) {
-    const uint8_t token = r.ReadU8();
-    if (!r.ok()) return Status::Corruption("lz frame: truncated token");
+  out->resize(raw_size + kCopyBlock);
+  char* const dst = out->data();
+  size_t op = 0;  // output bytes produced
+  size_t ip = 0;  // payload bytes consumed
+  while (op < raw_size) {
+    if (ip >= payload.size()) {
+      return Status::Corruption("lz frame: truncated token");
+    }
+    const uint8_t token = static_cast<uint8_t>(payload[ip++]);
     size_t literal_len = token >> 4;
     if (literal_len == 15 &&
-        !ReadRunLength(r, raw_size - out->size(), &literal_len)) {
+        !ReadRunLength(payload, &ip, raw_size - op, &literal_len)) {
       return Status::Corruption("lz frame: bad literal run length");
     }
-    if (literal_len > raw_size - out->size()) {
+    if (literal_len > raw_size - op) {
       return Status::Corruption("lz frame: literal run exceeds raw size");
     }
-    const std::string_view literals = r.ReadRaw(literal_len);
-    if (!r.ok()) return Status::Corruption("lz frame: truncated literals");
-    out->append(literals);
-    if (out->size() == raw_size) break;  // final, literal-only sequence
-    const size_t offset = r.ReadU16();
-    if (!r.ok()) return Status::Corruption("lz frame: truncated offset");
-    if (offset == 0 || offset > out->size()) {
+    if (literal_len > payload.size() - ip) {
+      return Status::Corruption("lz frame: truncated literals");
+    }
+    if (literal_len <= kCopyBlock && payload.size() - ip >= kCopyBlock) {
+      std::memcpy(dst + op, payload.data() + ip, kCopyBlock);
+    } else {
+      std::memcpy(dst + op, payload.data() + ip, literal_len);
+    }
+    ip += literal_len;
+    op += literal_len;
+    if (op == raw_size) break;  // final, literal-only sequence
+    if (payload.size() - ip < 2) {
+      return Status::Corruption("lz frame: truncated offset");
+    }
+    const size_t offset = static_cast<uint8_t>(payload[ip]) |
+                          (size_t{static_cast<uint8_t>(payload[ip + 1])} << 8);
+    ip += 2;
+    if (offset == 0 || offset > op) {
       return Status::Corruption("lz frame: match offset out of range");
     }
     size_t match_len = (token & 0x0f) + kMinMatch;
     if ((token & 0x0f) == 15 &&
-        !ReadRunLength(r, raw_size - out->size(), &match_len)) {
+        !ReadRunLength(payload, &ip, raw_size - op, &match_len)) {
       return Status::Corruption("lz frame: bad match run length");
     }
-    if (match_len > raw_size - out->size()) {
+    if (match_len > raw_size - op) {
       return Status::Corruption("lz frame: match exceeds raw size");
     }
-    // Byte-by-byte so overlapping matches (offset < match_len) replicate.
-    size_t src = out->size() - offset;
-    for (size_t k = 0; k < match_len; ++k) {
-      out->push_back((*out)[src + k]);
+    const char* src = dst + op - offset;
+    if (offset >= kCopyBlock && match_len <= kCopyBlock) {
+      std::memcpy(dst + op, src, kCopyBlock);
+    } else if (offset >= match_len) {
+      std::memcpy(dst + op, src, match_len);
+    } else {
+      // Overlapping match: byte order replicates the period.
+      for (size_t k = 0; k < match_len; ++k) dst[op + k] = src[k];
     }
+    op += match_len;
   }
-  if (!r.AtEnd()) return Status::Corruption("lz frame: trailing bytes");
+  if (ip != payload.size()) {
+    return Status::Corruption("lz frame: trailing bytes");
+  }
+  out->resize(raw_size);
   return Status::Ok();
 }
 
@@ -231,7 +278,7 @@ std::string Compress(Codec codec, std::string_view raw) {
   w.PutU8(static_cast<uint8_t>(codec));
   w.PutU32(static_cast<uint32_t>(raw.size()));
   w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutU64(Fnv1a64(payload));
+  w.PutU64(FrameChecksum(w.data(), payload));
   std::string frame = std::move(w).data();
   BP_CHECK(frame.size() == kFrameHeaderSize);
   frame += payload;
@@ -240,18 +287,19 @@ std::string Compress(Codec codec, std::string_view raw) {
 
 bool LooksLikeFrame(std::string_view data) {
   if (data.size() < kFrameHeaderSize) return false;
-  Reader r(data);
-  return r.ReadU32() == kFrameMagic;
+  const uint32_t magic = Reader(data).ReadU32();
+  return magic == kFrameMagic || magic == kLegacyFrameMagic;
 }
 
 Result<FrameInfo> Inspect(std::string_view data) {
   if (data.size() < kFrameHeaderSize) {
     return Status::Corruption("compressed frame: short header");
   }
-  Reader r(data);
-  if (r.ReadU32() != kFrameMagic) {
+  if (!LooksLikeFrame(data)) {
     return Status::Corruption("compressed frame: bad magic");
   }
+  Reader r(data);
+  r.Skip(4);
   const uint8_t codec = r.ReadU8();
   if (codec > static_cast<uint8_t>(Codec::kIntDelta)) {
     return Status::Corruption(
@@ -274,12 +322,22 @@ Status Decompress(std::string_view data, std::string* out) {
     return Status::Corruption("compressed frame: payload truncated");
   }
   Reader r(data);
-  r.Skip(kFrameHeaderSize - 8);
+  const bool legacy = r.ReadU32() == kLegacyFrameMagic;
+  r.Skip(kChecksummedHeaderBytes - 4);
   const uint64_t checksum = r.ReadU64();
   const std::string_view payload =
       data.substr(kFrameHeaderSize, info.stored_size - kFrameHeaderSize);
-  if (Fnv1a64(payload) != checksum) {
+  const uint64_t computed =
+      legacy ? LegacyPayloadChecksum(payload)
+             : FrameChecksum(data.substr(0, kChecksummedHeaderBytes), payload);
+  if (computed != checksum) {
     return Status::Corruption("compressed frame: checksum mismatch");
+  }
+  if (info.raw_size > kMaxBytesPerPayloadByte * payload.size()) {
+    return Status::Corruption(util::StrFormat(
+        "compressed frame: raw size %u exceeds what %zu payload bytes "
+        "can encode",
+        info.raw_size, payload.size()));
   }
   switch (info.codec) {
     case Codec::kNone:
@@ -288,13 +346,8 @@ Status Decompress(std::string_view data, std::string* out) {
       }
       out->assign(payload);
       return Status::Ok();
-    case Codec::kLz: {
-      BP_RETURN_IF_ERROR(LzDecompress(payload, info.raw_size, out));
-      if (out->size() != info.raw_size) {
-        return Status::Corruption("lz frame: raw size mismatch");
-      }
-      return Status::Ok();
-    }
+    case Codec::kLz:
+      return LzDecompress(payload, info.raw_size, out);
     case Codec::kIntDelta:
       return IntDeltaDecompress(payload, info.raw_size, out);
   }

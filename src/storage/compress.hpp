@@ -5,11 +5,24 @@
 //   [magic u32][codec u8][raw_size u32][payload_size u32][checksum u64]
 //   [payload bytes ...]
 //
-// (21-byte header, little-endian, FNV-1a 64 checksum over the payload.)
+// (21-byte header, little-endian.) Two magics exist; both decode:
+//
+//   kFrameMagic ("FCP2") — written by Compress. The checksum is
+//     Xxh64(payload, Xxh64(header bytes 0..12)): XXH64 (util/hash.hpp)
+//     over the 13 header bytes before the checksum field, then over the
+//     payload seeded with that value. It covers the codec and both
+//     sizes, so a rewritten header is Corruption, and Decompress checks
+//     it before allocating anything.
+//   kLegacyFrameMagic ("FCPB") — frames older builds wrote into
+//     checkpoint slots. The checksum is FNV-1a over the payload only,
+//     with those builds' offset basis (compress.cpp); the header is
+//     unchecked, so Decompress first bounds raw_size by what the payload
+//     can encode. Never written any more.
+//
 // Frames are self-identifying so a reader handed either a raw page image
 // or a compressed one can tell them apart: raw B-tree pages start with a
-// type byte in {1,2,3} and the magic's first byte is none of those, and
-// a frame is only trusted after its checksum verifies — a ~2^-96
+// type byte in {1,2,3} and neither magic's first byte is one of those,
+// and a frame is only trusted after its checksum verifies — a ~2^-96
 // accidental-collision bar. Truncated or bit-flipped frames decode to
 // Corruption, never to an out-of-bounds read.
 //
@@ -42,7 +55,8 @@ enum class Codec : uint8_t {
   kIntDelta = 2,
 };
 
-inline constexpr uint32_t kFrameMagic = 0x42504346;  // "FCPB" on disk
+inline constexpr uint32_t kFrameMagic = 0x32504346;        // "FCP2" on disk
+inline constexpr uint32_t kLegacyFrameMagic = 0x42504346;  // "FCPB" on disk
 inline constexpr size_t kFrameHeaderSize = 21;
 
 struct FrameInfo {
@@ -60,13 +74,13 @@ struct FrameInfo {
 // raw.size() % 8 == 0.
 std::string Compress(Codec codec, std::string_view raw);
 
-// Decodes a frame produced by Compress. `data` may carry trailing bytes
-// past the payload (page slots are zero-padded to the page size); they
-// are ignored. Returns Corruption on bad magic, unknown codec, short
-// input, checksum mismatch, or malformed payload.
+// Decodes a frame of either magic. `data` may carry trailing bytes past
+// the payload (page slots are zero-padded to the page size); they are
+// ignored. Returns Corruption on bad magic, unknown codec, short input,
+// checksum mismatch, or malformed payload.
 util::Status Decompress(std::string_view data, std::string* out);
 
-// Cheap header peek: true iff `data` begins with the frame magic.
+// Cheap header peek: true iff `data` begins with either frame magic.
 bool LooksLikeFrame(std::string_view data);
 
 // Parses the header only (no checksum verification). Corruption if the

@@ -14,13 +14,19 @@
 //                 payload_len u32
 //   frame:        header | payload bytes | checksum u64
 //
-// The checksum is FNV-1a over the frame header + payload, *seeded with
-// the previous frame's checksum* (the first frame is seeded with the
-// file header's salt). Chaining means a frame only validates if every
-// frame before it validated, so a reader can treat the first bad or
-// torn frame as the end of the log — exactly the property crash
-// recovery needs: a crash at any byte boundary leaves a valid committed
-// prefix.
+// The checksum is XXH64 (util/hash.hpp) over the frame header +
+// payload, *seeded with the previous frame's checksum* (the first frame
+// is seeded with the file header's salt). Chaining means a frame only
+// validates if every frame before it validated, so a reader can treat
+// the first bad or torn frame as the end of the log — exactly the
+// property crash recovery needs: a crash at any byte boundary leaves a
+// valid committed prefix.
+//
+// Version 3 is the only version written. Version 2 has the same layout,
+// byte for byte, but chains FNV-1a (util::Fnv1a64) instead of XXH64; the
+// reader still accepts it, picking the chain function from the header,
+// so a log an older build left behind after a crash still recovers. The
+// recovered log is folded and replaced by a version 3 one at Open.
 //
 // kCommit frames carry (commit_seq u64, page_count u32). `base_seq`
 // records the commit sequence the main database file already contained
@@ -39,7 +45,8 @@
 namespace bp::wal {
 
 constexpr uint32_t kWalMagic = 0x4250574c;  // "BPWL"
-constexpr uint32_t kWalVersion = 2;         // 2: stream id + base seq
+constexpr uint32_t kWalVersion = 3;         // 3: XXH64 frame chain
+constexpr uint32_t kWalVersionFnv = 2;      // read only: FNV-1a chain
 constexpr uint32_t kWalStreamId = 0;        // the one stream
 
 // Fixed seed for the first frame's checksum chain. A per-file random salt

@@ -35,10 +35,14 @@ Result<WalContents> WalReader::ReadCommitted(Env* env,
   header.ReadU64();  // salt (fixed; chain seeds from kWalSalt)
   uint32_t stream_id = header.ReadU32();
   header.ReadU64();  // base_seq (informational)
-  if (magic != kWalMagic || version != kWalVersion ||
+  if (magic != kWalMagic ||
+      (version != kWalVersion && version != kWalVersionFnv) ||
       page_size != kPageSize) {
     return Status::Corruption("bad wal header: " + path);
   }
+  // See wal_format.hpp: the version names the chain function.
+  uint64_t (*const chain_checksum)(std::string_view, uint64_t) =
+      version == kWalVersion ? util::Xxh64 : util::Fnv1a64;
   out.valid_bytes = kWalFileHeaderBytes;
 
   // Page images of the transaction currently being scanned; promoted to
@@ -75,7 +79,7 @@ Result<WalContents> WalReader::ReadCommitted(Env* env,
     uint64_t stored_checksum = r.ReadU64();
     std::string_view body(raw.data() + pos,
                           kWalFrameHeaderBytes + payload_len);
-    uint64_t computed = util::Fnv1a64(body, chain);
+    uint64_t computed = chain_checksum(body, chain);
     if (!r.ok() || computed != stored_checksum) {
       out.torn_tail = true;
       break;

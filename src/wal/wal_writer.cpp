@@ -47,7 +47,7 @@ void WalWriter::AppendFrame(FrameType type, PageId page_id,
   buffer_.PutRaw(payload);
   std::string_view body(buffer_.data().data() + frame_start,
                         buffer_.size() - frame_start);
-  pending_checksum_ = util::Fnv1a64(body, pending_checksum_);
+  pending_checksum_ = util::Xxh64(body, pending_checksum_);
   buffer_.PutU64(pending_checksum_);
 }
 

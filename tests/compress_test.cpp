@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "storage/page.hpp"
+#include "util/hash.hpp"
+#include "util/serde.hpp"
 
 namespace bp::storage::compress {
 namespace {
@@ -39,6 +41,25 @@ std::string CompressibleBytes(size_t n, uint32_t seed) {
     out.append(run, 0, std::min(run.size(), n - out.size()));
   }
   return out;
+}
+
+// A frame as older builds wrote it: kLegacyFrameMagic, and FNV-1a over
+// the payload with the offset basis those builds used.
+std::string LegacyFrame(Codec codec, uint32_t raw_size,
+                        std::string_view payload) {
+  uint64_t fnv = 1469598103934665603ull;
+  for (char c : payload) {
+    fnv ^= static_cast<uint8_t>(c);
+    fnv *= 1099511628211ull;
+  }
+  util::Writer w;
+  w.PutU32(kLegacyFrameMagic);
+  w.PutU8(static_cast<uint8_t>(codec));
+  w.PutU32(raw_size);
+  w.PutU32(static_cast<uint32_t>(payload.size()));
+  w.PutU64(fnv);
+  w.PutRaw(payload);
+  return std::move(w).data();
 }
 
 void ExpectRoundTrip(Codec codec, const std::string& raw) {
@@ -110,6 +131,27 @@ TEST(CompressFrame, RoundTripManySeeds) {
   }
 }
 
+TEST(CompressFrame, RoundTripShortCopiesAtEveryOffset) {
+  // Pieces copied from 1..40 bytes back with lengths 4..40: literal runs
+  // and matches on both sides of the decoder's 16-byte block copy, and
+  // overlapping matches (offset < length) at every small period.
+  std::mt19937 rng(2024);
+  std::uniform_int_distribution<int> offset_dist(1, 40);
+  std::uniform_int_distribution<int> len_dist(4, 40);
+  std::uniform_int_distribution<int> literal_dist(0, 20);
+  for (int round = 0; round < 64; ++round) {
+    std::string raw = RandomBytes(8, round);
+    while (raw.size() < 3000) {
+      raw += RandomBytes(literal_dist(rng), round * 131 + raw.size());
+      const size_t offset = std::min<size_t>(offset_dist(rng), raw.size());
+      const size_t len = len_dist(rng);
+      const size_t from = raw.size() - offset;
+      for (size_t k = 0; k < len; ++k) raw.push_back(raw[from + k]);
+    }
+    ExpectRoundTrip(Codec::kLz, raw);
+  }
+}
+
 TEST(CompressFrame, IntDeltaRoundTrip) {
   // Sorted id arrays are the sweet spot.
   std::string raw;
@@ -153,23 +195,88 @@ TEST(CompressFrame, EveryTruncationIsCorruption) {
 }
 
 TEST(CompressFrame, EveryBitFlipIsCorruptionOrDetectedByChecksum) {
+  // A flip in the magic makes it not-a-frame; anywhere else the
+  // checksum, which covers the header as well as the payload, catches
+  // it. So no single flipped bit decodes, not even to the right bytes,
+  // and none crashes.
   const std::string raw = CompressibleBytes(1024, 99);
-  const std::string frame = Compress(Codec::kLz, raw);
-  for (size_t byte = 0; byte < frame.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string flipped = frame;
-      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
-      std::string out;
-      Status st = Decompress(flipped, &out);
-      // A flip in the magic makes it not-a-frame (Corruption via bad
-      // magic); anywhere else the checksum or size checks catch it. The
-      // invariant under test: never OK-with-wrong-bytes, never a crash.
-      if (st.ok()) {
-        EXPECT_EQ(out, raw) << "flip at byte " << byte << " bit " << bit;
-      } else {
-        EXPECT_TRUE(st.IsCorruption());
+  for (Codec codec : {Codec::kNone, Codec::kLz, Codec::kIntDelta}) {
+    const std::string frame = Compress(codec, raw);
+    for (size_t byte = 0; byte < frame.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = frame;
+        flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+        std::string out;
+        EXPECT_TRUE(Decompress(flipped, &out).IsCorruption())
+            << "codec " << static_cast<int>(codec) << " flip at byte "
+            << byte << " bit " << bit;
       }
     }
+  }
+}
+
+TEST(CompressFrame, RewrittenHeaderIsCorruption) {
+  // A kLz frame relabelled kNone, with raw_size set to its payload size;
+  // payload and checksum untouched. With a checksum over the payload
+  // alone this decoded Ok, to the LZ token stream instead of the page.
+  const std::string page = CompressibleBytes(kPageSize, 7);
+  std::string frame = Compress(Codec::kLz, page);
+  const uint32_t payload_size =
+      static_cast<uint32_t>(frame.size() - kFrameHeaderSize);
+  frame[4] = static_cast<char>(Codec::kNone);
+  for (size_t b = 0; b < 4; ++b) {
+    frame[5 + b] = static_cast<char>(payload_size >> (8 * b));
+  }
+  std::string out;
+  EXPECT_TRUE(Decompress(frame, &out).IsCorruption());
+}
+
+TEST(CompressFrame, LegacyFramesStillDecode) {
+  // Checkpoint slots written by older builds keep kLegacyFrameMagic.
+  std::string raw;
+  for (int i = 0; i < 8; ++i) raw += "download lineage ";
+  const std::string payload("\xff\x02" "download lineage " "\x11\x00\x64",
+                            22);
+  const std::string frame = LegacyFrame(Codec::kLz, 136, payload);
+  // Byte for byte what an older build's Compress(kLz, raw) returned.
+  EXPECT_EQ(frame, std::string("\x46\x43\x50\x42\x01\x88\x00\x00\x00"
+                               "\x16\x00\x00\x00\xa8\x61\x99\x81\x2e"
+                               "\x55\x53\xb5",
+                               kFrameHeaderSize) +
+                       payload);
+  ASSERT_TRUE(LooksLikeFrame(frame));
+  auto info = Inspect(frame);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->raw_size, raw.size());
+  EXPECT_EQ(info->stored_size, frame.size());
+  std::string out;
+  ASSERT_TRUE(Decompress(frame, &out).ok());
+  EXPECT_EQ(out, raw);
+  // Zero-padded to a slot, as the checkpointer stored it.
+  std::string slot = frame;
+  slot.resize(kPageSize, '\0');
+  ASSERT_TRUE(Decompress(slot, &out).ok());
+  EXPECT_EQ(out, raw);
+
+  std::string flipped = frame;
+  flipped[kFrameHeaderSize + 5] ^= 0x01;
+  EXPECT_TRUE(Decompress(flipped, &out).IsCorruption());
+
+  // The legacy header is not checksummed: a raw_size the payload cannot
+  // encode is rejected before anything is sized from it.
+  EXPECT_TRUE(
+      Decompress(LegacyFrame(Codec::kLz, UINT32_MAX, payload), &out)
+          .IsCorruption());
+  EXPECT_TRUE(
+      Decompress(LegacyFrame(Codec::kIntDelta, UINT32_MAX - 7, payload), &out)
+          .IsCorruption());
+}
+
+TEST(CompressFrame, CompressWritesOnlyTheCurrentMagic) {
+  for (Codec codec : {Codec::kNone, Codec::kLz, Codec::kIntDelta}) {
+    const std::string frame = Compress(codec, std::string(64, 'x'));
+    util::Reader r(frame);
+    EXPECT_EQ(r.ReadU32(), kFrameMagic);
   }
 }
 
@@ -177,17 +284,23 @@ TEST(CompressFrame, AdversarialPayloadsNeverReadOutOfBounds) {
   // Hand-build frames whose payloads lie about lengths/offsets: the LZ
   // decoder must reject them all. We forge valid checksums so decode
   // reaches the payload parser.
-  auto forge = [](std::string payload, uint32_t raw_size) {
-    // Re-frame via Compress(kNone) to get a valid header, then rewrite
-    // codec and raw_size and re-checksum by building manually.
-    std::string frame = Compress(Codec::kNone, payload);
-    frame[4] = static_cast<char>(Codec::kLz);
-    for (size_t b = 0; b < 4; ++b) {
-      frame[5 + b] = static_cast<char>(raw_size >> (8 * b));
-    }
-    return frame;
+  auto forge = [](std::string_view payload, uint32_t raw_size) {
+    // The checksum covers the header, so it is recomputed as
+    // storage/compress.hpp defines it.
+    util::Writer w;
+    w.PutU32(kFrameMagic);
+    w.PutU8(static_cast<uint8_t>(Codec::kLz));
+    w.PutU32(raw_size);
+    w.PutU32(static_cast<uint32_t>(payload.size()));
+    w.PutU64(util::Xxh64(payload, util::Xxh64(w.data())));
+    w.PutRaw(payload);
+    return std::move(w).data();
   };
   std::string out;
+  // A well-formed forged frame decodes: the forgeries below reach the
+  // payload parser rather than failing the checksum.
+  ASSERT_TRUE(Decompress(forge("\x30" "abc", 3), &out).ok());
+  EXPECT_EQ(out, "abc");
   // Token promises 15+ext literals but payload ends.
   EXPECT_TRUE(Decompress(forge("\xf0", 64), &out).IsCorruption());
   // Match offset 0 (self-reference before any output).

@@ -300,6 +300,19 @@ TEST(HashTest, Fnv1aStableAndSeedable) {
   EXPECT_NE(Fnv1a64("abc", 1), Fnv1a64("abc", 2));
 }
 
+TEST(HashTest, Xxh64MatchesPublishedVectors) {
+  // Storage frames and WAL frames persist these values, so they must be
+  // the reference XXH64 on every host.
+  EXPECT_EQ(Xxh64(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(Xxh64("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(Xxh64("abc"), 0x44BC2CF5AD770999ULL);
+  // 39 bytes: one 32-byte stripe plus the 8-, 4- and 1-byte tails.
+  EXPECT_EQ(Xxh64("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+  EXPECT_EQ(Xxh64("xxhash", 20141025), 0xB559B98D844E0635ULL);
+  EXPECT_NE(Xxh64("abc", 1), Xxh64("abc", 2));
+}
+
 TEST(HashTest, Mix64Avalanches) {
   EXPECT_NE(Mix64(1), Mix64(2));
   // Single-bit flips should change roughly half the output bits.

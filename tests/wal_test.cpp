@@ -14,6 +14,7 @@
 #include "storage/db.hpp"
 #include "storage/env.hpp"
 #include "storage/pager.hpp"
+#include "util/hash.hpp"
 #include "util/serde.hpp"
 #include "wal/checkpointer.hpp"
 #include "wal/wal_reader.hpp"
@@ -139,6 +140,26 @@ TEST(WalFormatTest, TruncateAtEveryByteNeverYieldsPartialTxn) {
   }
 }
 
+TEST(WalFormatTest, WriterEmitsVersion3AndReaderRejectsUnknownVersions) {
+  MemEnv env;
+  auto writer = WalWriter::Open(&env, "db.wal");
+  ASSERT_TRUE(writer.ok());
+  (*writer)->AddPage(1, Page('a'));
+  ASSERT_TRUE((*writer)->CommitTxn(1, 2).ok());
+  std::string log = env.SnapshotAll().at("db.wal");
+  EXPECT_EQ(util::Reader(std::string_view(log).substr(4)).ReadU32(), 3u);
+
+  auto file = env.Open("db.wal");
+  for (uint32_t v : {1u, 4u}) {
+    util::Writer w;
+    w.PutU32(v);
+    ASSERT_TRUE((*file)->Write(4, w.data()).ok());
+    EXPECT_TRUE(WalReader::ReadCommitted(&env, "db.wal").status()
+                    .IsCorruption())
+        << "version " << v;
+  }
+}
+
 // ------------------------------------------------------ checkpointer
 
 TEST(CheckpointerTest, FoldsCommittedPagesIntoDbFile) {
@@ -222,6 +243,78 @@ TEST(PagerWalTest, CrashBeforeCheckpointRecoversFromLog) {
   auto live = WalReader::ReadCommitted(&env, "db.wal");
   ASSERT_TRUE(live.ok());
   EXPECT_EQ(live->commits, 0u);
+}
+
+// Re-encodes a version 3 log as an older build wrote it: version 2 in
+// the header and an FNV-1a chain over the same frames. A torn final
+// frame is copied as it is.
+std::string AsVersion2Log(std::string log) {
+  util::Writer version;
+  version.PutU32(2);
+  log.replace(4, 4, version.data());
+  uint64_t chain = kWalSalt;
+  size_t pos = kWalFileHeaderBytes;
+  while (log.size() - pos >= kWalFrameHeaderBytes + kWalFrameTrailerBytes) {
+    const uint32_t payload_len =
+        util::Reader(std::string_view(log).substr(pos + 14)).ReadU32();
+    const size_t body = kWalFrameHeaderBytes + payload_len;
+    if (log.size() - pos < body + kWalFrameTrailerBytes) break;
+    chain = util::Fnv1a64(std::string_view(log).substr(pos, body), chain);
+    util::Writer checksum;
+    checksum.PutU64(chain);
+    log.replace(pos + body, kWalFrameTrailerBytes, checksum.data());
+    pos += body + kWalFrameTrailerBytes;
+  }
+  return log;
+}
+
+TEST(PagerWalTest, Version2LogFromAnOlderBuildRecovers) {
+  MemEnv env;
+  std::map<std::string, std::string> crashed;
+  {
+    auto pager = Pager::Open("db", WalPagerOptions(&env));
+    ASSERT_TRUE(pager.ok());
+    ASSERT_TRUE((*pager)->Begin().ok());
+    auto first = (*pager)->Allocate();
+    ASSERT_TRUE(first.ok());
+    (*(*pager)->GetMutable(*first)).mutable_data()[0] = 'A';
+    ASSERT_TRUE((*pager)->Commit().ok());
+    ASSERT_TRUE((*pager)->Begin().ok());
+    auto second = (*pager)->Allocate();
+    ASSERT_TRUE(second.ok());
+    (*(*pager)->GetMutable(*first)).mutable_data()[0] = 'B';
+    (*(*pager)->GetMutable(*second)).mutable_data()[0] = 'C';
+    ASSERT_TRUE((*pager)->Commit().ok());
+    // Power loss NOW: both commits live only in the log.
+    crashed = env.SnapshotAll();
+  }
+  const std::string v2 = AsVersion2Log(crashed.at("db.wal"));
+  ASSERT_NE(v2, crashed.at("db.wal"));
+
+  // The whole log: both commits come back.
+  crashed["db.wal"] = v2;
+  env.RestoreAll(crashed);
+  {
+    auto pager = Pager::Open("db", WalPagerOptions(&env));
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    EXPECT_EQ((*pager)->page_count(), 3u);
+    EXPECT_EQ((*(*pager)->Get(1)).data()[0], 'B');
+    EXPECT_EQ((*(*pager)->Get(2)).data()[0], 'C');
+    // The folded log was replaced by a version 3 one.
+    const std::string live = env.SnapshotAll().at("db.wal");
+    EXPECT_EQ(util::Reader(std::string_view(live).substr(4)).ReadU32(), 3u);
+  }
+
+  // A torn tail: the second commit's frames are cut short, so only the
+  // first commit is recovered.
+  crashed["db.wal"] = v2.substr(0, v2.size() - 3);
+  env.RestoreAll(crashed);
+  {
+    auto pager = Pager::Open("db", WalPagerOptions(&env));
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    EXPECT_EQ((*pager)->page_count(), 2u);
+    EXPECT_EQ((*(*pager)->Get(1)).data()[0], 'A');
+  }
 }
 
 TEST(PagerWalTest, UncommittedTxnIsInvisibleAfterCrash) {
