@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "obs/metrics.hpp"
 #include "storage/btree.hpp"
 #include "storage/db.hpp"
 #include "storage/env.hpp"
@@ -122,6 +123,37 @@ int main(int argc, char** argv) {
           [&](uint64_t) {
             MustOk(fx.db->BeginRead().status(), "begin read");
           });
+  }
+  {
+    // Hot rewrites, the shape of Table's id-allocator cell and of row
+    // updates: sequential keys fill their leaves, then keys among the
+    // first 200 are overwritten with values of the same size, 1,000 per
+    // transaction. Each rewrite fits where the old cell stood, so the
+    // row should repack no page (bp_btree_compactions delta 0).
+    EngineFixture fx;
+    const std::string value(64, 'v');
+    MustOk(fx.db->Begin(), "begin");
+    for (uint64_t k = 0; k < kPreload; ++k) {
+      MustOk(fx.tree->Put(util::OrderedKeyU64(k), value), "preload");
+    }
+    MustOk(fx.db->Commit(), "commit");
+    const obs::Counter& compactions = *obs::MetricsRegistry::Global()
+        .GetCounter("bp_btree_compactions", "", "");
+    const uint64_t before = compactions.value();
+    util::Rng rng(4);
+    const std::string rewrite(64, 'w');
+    Bench("btree_overwrite_hot", n / 1000, 1000, [&](uint64_t) {
+      MustOk(fx.db->Begin(), "begin");
+      for (int i = 0; i < 1000; ++i) {
+        MustOk(fx.tree->Put(util::OrderedKeyU64(rng.Uniform(200)), rewrite),
+               "overwrite");
+      }
+      MustOk(fx.db->Commit(), "commit");
+    });
+    const uint64_t compacted = compactions.value() - before;
+    Row("%-32s %12llu", "btree_overwrite_compactions",
+        static_cast<unsigned long long>(compacted));
+    Metric("btree_overwrite_compactions", static_cast<double>(compacted));
   }
   {
     EngineFixture fx;

@@ -26,6 +26,11 @@ enough to absorb runner variance, tight enough to catch an
 order-of-magnitude tail blow-up. Raw throughput numbers are diffed for
 the log but never gated.
 
+A "lower" gate whose baseline is 0 has no relative tolerance. In the
+string form it fails on any current value above 0: a deterministic
+count of work that should not happen at all. In the object form it is
+skipped, since a measured latency of 0 is only timer granularity.
+
 A tracked metric that is missing from the current run, the baseline, or
 both is a hard failure: silently dropping an instrumented number is
 exactly the regression this gate exists to catch.
@@ -59,7 +64,8 @@ def fmt(value):
 
 
 def parse_gate(bench, metric, spec, default_tolerance, failures):
-    """Returns (direction, tolerance) or None for an untracked metric."""
+    """Returns (direction, tolerance, deterministic) or None for an
+    untracked metric. Plain-string gates are the deterministic ones."""
     if spec is None:
         return None
     if isinstance(spec, str):
@@ -73,7 +79,7 @@ def parse_gate(bench, metric, spec, default_tolerance, failures):
     if direction not in ("higher", "lower"):
         failures.append(f"{bench}/{metric}: bad direction {direction!r}")
         return None
-    return direction, tolerance
+    return direction, tolerance, isinstance(spec, str)
 
 
 def main():
@@ -142,20 +148,31 @@ def main():
                     failures.append(f"{name}: tracked metric has no baseline "
                                     "value (run with --update-baseline)")
                 continue
-            delta = (cur - base) / base if base != 0 else float("inf")
+            if base != 0:
+                delta = (cur - base) / base
+            else:
+                delta = 0.0 if cur == 0 else float("inf")
             if gate is None:
                 print(f"{name:56} {fmt(base):>12} {fmt(cur):>12} "
                       f"{delta:+7.1%}  info")
                 continue
-            direction, tolerance = gate
-            if direction == "lower" and base == 0:
+            direction, tolerance, deterministic = gate
+            if direction == "lower" and base == 0 and not deterministic:
                 # No relative comparison is possible against a zero
-                # baseline; failing on ANY nonzero current would make
-                # the gate fire on measurement granularity alone.
+                # baseline; failing a measured latency on ANY nonzero
+                # current would fire on measurement granularity alone.
                 print(f"{name:56} {fmt(base):>12} {fmt(cur):>12} "
                       f"{'-':>8}  zero-base")
                 continue
-            if direction == "higher":
+            why = (f"{delta:+.1%}, tolerance {tolerance:.0%}, "
+                   f"{direction} is better")
+            if direction == "lower" and base == 0:
+                # A deterministic count whose baseline is 0 (work that
+                # should not happen): any nonzero current is a
+                # regression, whatever the tolerance.
+                regressed = cur > 0
+                why = "deterministic count above its zero baseline"
+            elif direction == "higher":
                 regressed = cur < base * (1.0 - tolerance)
             else:
                 regressed = cur > base * (1.0 + tolerance)
@@ -163,10 +180,7 @@ def main():
             print(f"{name:56} {fmt(base):>12} {fmt(cur):>12} "
                   f"{delta:+7.1%}  {verdict}")
             if regressed:
-                failures.append(
-                    f"{name}: {fmt(base)} -> {fmt(cur)} "
-                    f"({delta:+.1%}, tolerance {tolerance:.0%}, "
-                    f"{direction} is better)")
+                failures.append(f"{name}: {fmt(base)} -> {fmt(cur)} ({why})")
 
     if args.update_baseline:
         copied = 0

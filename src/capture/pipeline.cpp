@@ -45,11 +45,10 @@ IngestPipeline::IngestPipeline(PipelineOptions options, CommitFn commit,
 IngestPipeline::~IngestPipeline() {
   {
     util::MutexLock lock(mu_);
-    stop_ = true;
     // Shutdown behaves like a final Drain: the committer empties the
     // queue and closes the group before exiting (unless a sticky error
     // already made that impossible).
-    flush_target_ = next_ticket_ - 1;
+    stop_ = true;
   }
   work_cv_.notify_all();
   space_cv_.notify_all();
@@ -108,11 +107,12 @@ Status IngestPipeline::Flush(Ticket ticket) {
   ticket = std::min(ticket, next_ticket_ - 1);
   if (durable_ >= ticket) return Status::Ok();  // already acknowledged
   if (!status_.ok()) return status_;
-  flush_target_ = std::max(flush_target_, ticket);
+  const auto wait = flush_waits_.insert(ticket);
   work_cv_.notify_one();
   while (durable_ < ticket && status_.ok()) {
     ack_cv_.wait(lock.native());
   }
+  flush_waits_.erase(wait);
   return durable_ >= ticket ? Status::Ok() : status_;
 }
 
@@ -190,11 +190,13 @@ void IngestPipeline::CommitterLoop() {
     }
 
     // Adaptive group close: the storage group-commit window is a
-    // CEILING. When the queue runs dry — or a Flush barrier (including
-    // shutdown) is waiting — make the committed tail durable now
-    // instead of letting it sit until the window fills.
+    // CEILING. When the queue runs dry (shutdown included), or a Flush
+    // waits only on committed events, make the committed tail durable
+    // now instead of letting it sit until the window fills. A Flush
+    // whose events are still queued waits for the batches ahead of it
+    // and one sync, not a sync per batch.
     if (status_.ok() && durable_ < committed_ &&
-        (queue_.empty() || flush_target_ > durable_)) {
+        (queue_.empty() || FlushCommittedLocked())) {
       lock.Unlock();
       Status synced;
       {

@@ -16,9 +16,11 @@
 // committer drains the queue in adaptive batches: under load it
 // coalesces up to `max_batch` events per storage transaction and lets
 // the storage layer's group-commit window amortize fsyncs, and when the
-// queue runs dry (or a Flush barrier is waiting) it calls SyncFn to
-// close the group early — so tail latency collapses at low event rates
-// instead of waiting for a fixed group to fill.
+// queue runs dry (or a Flush waits on events already committed) it
+// calls SyncFn to close the group early — so tail latency collapses at
+// low event rates instead of waiting for a fixed group to fill. A Flush
+// whose events are still queued gets one sync after they commit, not
+// one per batch on the way.
 //
 // Durability acknowledgment is a watermark: Flush(ticket) blocks until
 // every event up to `ticket` is DURABLE (committed and fsynced), Drain()
@@ -37,6 +39,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -136,9 +139,15 @@ class IngestPipeline {
  private:
   void CommitterLoop() BP_EXCLUDES(mu_);
   // Committer must wake to close the group early: something committed
-  // is not yet durable and a Flush barrier (or shutdown) wants it.
+  // is not yet durable and a blocked Flush waits on no more than that.
   bool SyncWantedLocked() const BP_REQUIRES(mu_) {
-    return status_.ok() && durable_ < committed_ && flush_target_ > durable_;
+    return status_.ok() && durable_ < committed_ && FlushCommittedLocked();
+  }
+  // Some blocked Flush waits only on committed events, so a sync now
+  // releases it. A Flush still waiting on queued events gains nothing
+  // from a sync before they commit.
+  bool FlushCommittedLocked() const BP_REQUIRES(mu_) {
+    return !flush_waits_.empty() && *flush_waits_.begin() <= committed_;
   }
 
   const PipelineOptions options_;
@@ -154,7 +163,8 @@ class IngestPipeline {
   Ticket popped_ BP_GUARDED_BY(mu_) = 0;     // last handed to committer
   Ticket committed_ BP_GUARDED_BY(mu_) = 0;  // last txn-committed
   Ticket durable_ BP_GUARDED_BY(mu_) = 0;    // last known durable
-  Ticket flush_target_ BP_GUARDED_BY(mu_) = 0;  // highest Flush() wait
+  // The ticket of every blocked Flush, one entry per caller.
+  std::multiset<Ticket> flush_waits_ BP_GUARDED_BY(mu_);
   util::Status status_ BP_GUARDED_BY(mu_);      // sticky committer error
   bool stop_ BP_GUARDED_BY(mu_) = false;
   PipelineStats stats_ BP_GUARDED_BY(mu_);

@@ -285,6 +285,10 @@ Status ProvenanceDb::RefreshIndex() {
     restore_index_ = false;
   }
   if (!index_stale_) return Status::Ok();
+  // The refresh commits on a query's behalf; a threshold checkpoint
+  // there would put the log fold on that query's latency. The next
+  // ingest commit folds instead, so the writers that grow the log pay.
+  storage::Pager::DeferCheckpoints defer(db_->pager());
   BP_RETURN_IF_ERROR(searcher_->IndexNewPages());
   index_stale_ = false;
   return Status::Ok();

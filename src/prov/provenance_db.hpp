@@ -19,9 +19,11 @@
 // a non-blocking enqueue into the ingest pipeline, whose background
 // committer coalesces pending events into adaptive batches — one
 // storage transaction each, group-committed under load, fsynced
-// immediately when the queue runs dry. Flush(ticket)/Drain() are the
-// durability barriers; read-your-writes for queries is preserved by
-// draining before one-shot queries and BeginSnapshot (see
+// immediately when the queue runs dry. The lazy text-index refresh a
+// query runs never folds the log: threshold checkpoints land on ingest
+// commits. Flush(ticket)/Drain() are the durability barriers;
+// read-your-writes for queries is preserved by draining before one-shot
+// queries and BeginSnapshot (see
 // Options::async.drain_before_query). The synchronous Ingest/IngestAll/
 // Batch path remains for callers that want commit-on-return semantics;
 // both paths serialize on the same internal writer mutex, so they

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/require.hpp"
 #include "util/serde.hpp"
 #include "util/strings.hpp"
@@ -23,7 +24,8 @@ namespace {
 //  1: u8  unused
 //  2: u16 ncells
 //  4: u16 content_start (cells grow down from kPageSize)
-//  6: u16 frag bytes (dead cell bytes; compacted on demand)
+//  6: u16 frag bytes (dead cell bytes, including the tail of a cell
+//                     rewritten shorter in place; compacted on demand)
 //  8: u32 aux   (leaf: next leaf | interior: rightmost child |
 //                overflow: next overflow page)
 // 12: u32 aux2  (leaf: prev leaf | overflow: payload byte count)
@@ -180,7 +182,15 @@ std::string EncodeInteriorCell(std::string_view key, PageId child) {
   return std::move(w).data();
 }
 
+// Process-wide count of Compact calls, each a page rewrite that repacks
+// every cell to reclaim frag. Registered at load time, so every metrics
+// dump lists it, at 0 until a page compacts.
+obs::Counter& compactions = *obs::MetricsRegistry::Global().GetCounter(
+    "bp_btree_compactions", "",
+    "B-tree page compactions (every cell repacked to reclaim frag)");
+
 void Compact(char* p) {
+  compactions.Add();
   const uint8_t type = NodeType(p);
   const uint16_t n = NCells(p);
   std::vector<std::string> cells;
@@ -464,16 +474,25 @@ Result<BTree::SplitResult> BTree::InsertRec(PageId page_id,
   BP_CHECK(NodeType(p) == kTypeLeaf, "unexpected page type in descent");
 
   uint32_t pos = LowerBound(p, key);
+  std::string cell = EncodeLeafCellInline(key, value);
   if (pos < NCells(p)) {
     std::string_view bytes = CellBytes(p, pos);
     LeafCell existing = ParseLeafCell(bytes);
     if (existing.key == key) {
+      // An inline cell that does not grow is rewritten where it stands;
+      // a shortened tail becomes frag. Remove-and-reinsert would compact
+      // a full page (Table's id-allocator cell sits in one) every time.
+      if (!existing.is_overflow && cell.size() <= existing.size) {
+        std::memcpy(p + CellPtr(p, pos), cell.data(), cell.size());
+        SetFrag(p, static_cast<uint16_t>(Frag(p) + existing.size -
+                                         cell.size()));
+        return SplitResult{};
+      }
       BP_RETURN_IF_ERROR(FreeLeafCellPayload(bytes));
       RemoveCellAt(p, pos, existing.size);
     }
   }
 
-  std::string cell = EncodeLeafCellInline(key, value);
   if (cell.size() > kMaxCellSize) {
     BP_ASSIGN_OR_RETURN(PageId first, WriteOverflowChain(value));
     cell = EncodeLeafCellOverflow(key, value.size(), first);

@@ -384,8 +384,9 @@ Status Pager::Checkpoint() {
 }
 
 Status Pager::MaybeCheckpoint() {
-  if (in_txn_ || live_snapshots() > 0) {
-    // Deferred while snapshots are live; retried at the next commit.
+  if (in_txn_ || checkpoint_deferrals_ > 0 || live_snapshots() > 0) {
+    // Deferred inside a DeferCheckpoints scope or while snapshots are
+    // live; retried at the next commit.
     return Status::Ok();
   }
   if (wal_->SizeBytes() < options_.wal_checkpoint_bytes) return Status::Ok();

@@ -27,6 +27,8 @@
 //   4. A checkpoint — when the log crosses wal_checkpoint_bytes, and at
 //      clean close — syncs the log, folds its latest committed pages
 //      back into the database file, fsyncs it, and truncates the log.
+//      Commits inside a DeferCheckpoints scope leave the threshold fold
+//      to the next commit outside one.
 //      Pager::Open folds whatever committed prefix of the log survives
 //      a crash (see wal/checkpointer.hpp).
 //
@@ -335,6 +337,25 @@ class Pager {
   // failed log fsync (see SyncWal).
   util::Status Checkpoint() BP_EXCLUDES(commit_mu_, wal_mu_);
 
+  // Holds threshold checkpoints off while alive: a commit inside the
+  // scope leaves a log past wal_checkpoint_bytes for the next commit
+  // outside one to fold (Checkpoint() and clean close still fold). For
+  // writes made on a query's behalf, such as a derived-index refresh,
+  // so the query never pays for folding the log. Writer thread only;
+  // scopes nest.
+  class DeferCheckpoints {
+   public:
+    explicit DeferCheckpoints(Pager& pager) : pager_(pager) {
+      ++pager_.checkpoint_deferrals_;
+    }
+    ~DeferCheckpoints() { --pager_.checkpoint_deferrals_; }
+    DeferCheckpoints(const DeferCheckpoints&) = delete;
+    DeferCheckpoints& operator=(const DeferCheckpoints&) = delete;
+
+   private:
+    Pager& pager_;
+  };
+
   // --- snapshots (read transactions) ---------------------------------
   //
   // Freezes the committed state as of now — the commit sequence
@@ -448,6 +469,7 @@ class Pager {
 
   // Transaction state.
   bool in_txn_ = false;
+  uint32_t checkpoint_deferrals_ = 0;  // live DeferCheckpoints scopes
   // Before-images of pre-existing pages dirtied in this transaction.
   std::unordered_map<PageId, std::string> before_images_;
   // Pages allocated in this transaction (no before-image; rollback drops).

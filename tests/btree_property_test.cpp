@@ -26,7 +26,8 @@ struct FuzzParams {
   uint64_t seed;
   int operations;
   int key_space;       // number of distinct keys
-  int max_value_size;  // values uniform in [0, max]
+  int min_value_size;  // values uniform in [min, max]
+  int max_value_size;
   int delete_percent;  // share of ops that are deletes
   std::string label;
 };
@@ -81,7 +82,9 @@ TEST_P(BTreeFuzzTest, MatchesReferenceModel) {
         ASSERT_EQ(*got, it->second) << "op " << op;
       }
     } else {
-      size_t len = rng.Uniform(static_cast<uint64_t>(params.max_value_size) + 1);
+      const int spread = params.max_value_size - params.min_value_size;
+      size_t len = static_cast<size_t>(params.min_value_size) +
+                   rng.Uniform(static_cast<uint64_t>(spread) + 1);
       std::string value(len, '\0');
       for (char& c : value) {
         c = static_cast<char>('a' + rng.Uniform(26));
@@ -120,12 +123,15 @@ TEST_P(BTreeFuzzTest, MatchesReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BTreeFuzzTest,
     ::testing::Values(
-        FuzzParams{101, 4000, 500, 40, 10, "small_values_light_delete"},
-        FuzzParams{202, 3000, 200, 40, 45, "small_values_heavy_delete"},
-        FuzzParams{303, 1200, 150, 3000, 20, "overflow_values"},
-        FuzzParams{404, 2500, 50, 200, 30, "hot_keys_replacement"},
-        FuzzParams{505, 4000, 4000, 20, 5, "wide_keyspace_append"},
-        FuzzParams{606, 800, 30, 8000, 40, "giant_values_churn"}),
+        FuzzParams{101, 4000, 500, 0, 40, 10, "small_values_light_delete"},
+        FuzzParams{202, 3000, 200, 0, 40, 45, "small_values_heavy_delete"},
+        FuzzParams{303, 1200, 150, 0, 3000, 20, "overflow_values"},
+        FuzzParams{404, 2500, 50, 0, 200, 30, "hot_keys_replacement"},
+        FuzzParams{505, 4000, 4000, 0, 20, 5, "wide_keyspace_append"},
+        FuzzParams{606, 800, 30, 0, 8000, 40, "giant_values_churn"},
+        // One value size over a hot key space: most Puts replace a cell
+        // with one of equal size, which is rewritten in place.
+        FuzzParams{707, 6000, 300, 24, 24, 5, "equal_size_hot_rewrites"}),
     [](const ::testing::TestParamInfo<FuzzParams>& info) {
       return info.param.label;
     });

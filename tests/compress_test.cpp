@@ -150,6 +150,17 @@ TEST(CompressFrame, RoundTripShortCopiesAtEveryOffset) {
     }
     ExpectRoundTrip(Codec::kLz, raw);
   }
+  // Long overlapping matches, as a page's zeroed free space makes: about
+  // 1 KiB repeating a period of 1..16 bytes, each between literals.
+  for (size_t offset = 1; offset <= 16; ++offset) {
+    std::string raw = RandomBytes(64, static_cast<uint32_t>(offset));
+    for (size_t len : {1000u, 1024u, 1031u}) {
+      const size_t from = raw.size() - offset;
+      for (size_t k = 0; k < len; ++k) raw.push_back(raw[from + k]);
+      raw += RandomBytes(24, static_cast<uint32_t>(offset * 7 + len));
+    }
+    ExpectRoundTrip(Codec::kLz, raw);
+  }
 }
 
 TEST(CompressFrame, IntDeltaRoundTrip) {

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <variant>
@@ -150,6 +153,57 @@ TEST(IngestPipelineTest, FlushClosesThePartialGroupCommitWindow) {
   EXPECT_EQ((*db)->db().pager().unsynced_commits(), 0u);
   EXPECT_GE((*db)->db().pager().stats().group_commits, 1u);
   EXPECT_GE((*db)->pipeline_stats().early_flushes, 1u);
+}
+
+TEST(IngestPipelineTest, FlushBehindQueuedEventsSyncsOnceAfterTheyCommit) {
+  // The first batch stays open until the rest of the events are queued
+  // and a Flush waits on the last of them. A sync between the batches
+  // would release no one, so the group closes once, after the batch
+  // that commits the flushed ticket.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool first_open = false;
+  bool release = false;
+  std::atomic<int> commits{0};
+  std::atomic<int> syncs{0};
+  capture::IngestPipeline pipeline(
+      capture::PipelineOptions{},
+      [&](std::vector<BrowserEvent>&&, size_t) -> util::Result<bool> {
+        std::unique_lock<std::mutex> lock(mu);
+        if (++commits == 1) {
+          first_open = true;
+          cv.notify_all();
+          cv.wait(lock, [&] { return release; });
+        }
+        return false;  // durable only once the pipeline syncs
+      },
+      [&] {
+        syncs.fetch_add(1);
+        return util::Status::Ok();
+      });
+  ASSERT_TRUE(pipeline.Enqueue(MakeVisit(1, Url(1))).ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return first_open; });
+  }
+  capture::IngestPipeline::Ticket last = 0;
+  for (uint64_t i = 2; i <= 6; ++i) {
+    auto ticket = pipeline.Enqueue(MakeVisit(i, Url(static_cast<int>(i))));
+    ASSERT_TRUE(ticket.ok());
+    last = *ticket;
+  }
+  std::thread flusher([&] { EXPECT_TRUE(pipeline.Flush(last).ok()); });
+  // Let the flusher block on its ticket before the first batch ends.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  flusher.join();
+  EXPECT_EQ(pipeline.durable_ticket(), last);
+  EXPECT_EQ(commits.load(), 2);
+  EXPECT_EQ(syncs.load(), 1);
 }
 
 TEST(IngestPipelineTest, SynchronousIngestLeavesTheTailUnsynced) {

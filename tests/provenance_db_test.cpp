@@ -630,6 +630,39 @@ TEST_F(ProvenanceDbTest, CloseRefusesWhileASnapshotViewIsLive) {
 // Text scores must not depend on how often a database was reopened:
 // each open indexes only pages its last committed index refresh did not
 // cover, so a reopen never adds a page's postings a second time.
+TEST(ProvenanceDbCheckpointTest, QueryIndexRefreshLeavesTheLogFoldToIngest) {
+  // With a one-byte threshold every commit outside a deferral folds the
+  // log. The text-index refresh a query runs commits too, but leaves
+  // the fold to the next ingest commit, so no query pays for it.
+  storage::MemEnv env;
+  ProvenanceDb::Options options;
+  options.db.env = &env;
+  options.db.wal_checkpoint_bytes = 1;
+  auto db = ProvenanceDb::Open("fold.db", options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  sim::ScenarioBuilder s;
+  s.Visit(1, "http://films.example/citizen-kane", "citizen kane 1941 film",
+          capture::NavigationAction::kTyped);
+  ASSERT_TRUE((*db)->IngestAll(s.events()).ok());
+  const storage::PagerStats ingested = (*db)->storage_stats();
+
+  auto hits = (*db)->Search("kane");
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  ASSERT_FALSE(hits->pages.empty());
+  const storage::PagerStats searched = (*db)->storage_stats();
+  EXPECT_GT(searched.commits, ingested.commits);  // the refresh committed
+  EXPECT_EQ(searched.checkpoints, ingested.checkpoints);
+
+  sim::ScenarioBuilder more(util::Days(2), 2000000);
+  more.Visit(1, "http://weather.example/today", "weather report rain",
+             capture::NavigationAction::kTyped);
+  ASSERT_TRUE((*db)->IngestAll(more.events()).ok());
+  EXPECT_GT((*db)->storage_stats().checkpoints, searched.checkpoints);
+  hits = (*db)->Search("kane");
+  ASSERT_TRUE(hits.ok());
+  EXPECT_FALSE(hits->pages.empty());
+}
+
 TEST(ProvenanceDbReopenTest, TextScoresSurviveCloseAndReopen) {
   storage::MemEnv env;
   ProvenanceDb::Options options;

@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "storage/btree.hpp"
 #include "storage/db.hpp"
 #include "storage/env.hpp"
@@ -484,6 +485,121 @@ TEST_F(BTreeTest, FreeAllPagesReturnsSpace) {
   ASSERT_TRUE(tree_->FreeAllPages().ok());
   // All tree pages (including the root) are on the freelist now.
   EXPECT_EQ(pager_->freelist_length() + 1, pages_before_free);
+}
+
+// Point reads of every model key, then one ordered scan of the tree.
+void ExpectTreeEquals(const BTree& tree,
+                      const std::map<std::string, std::string>& model) {
+  for (const auto& [key, value] : model) {
+    auto got = tree.Get(key);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, value);
+  }
+  auto it = model.begin();
+  ASSERT_TRUE(tree.ForEach([&](std::string_view key, std::string_view value) {
+                    EXPECT_NE(it, model.end());
+                    if (it == model.end()) return false;
+                    EXPECT_EQ(key, it->first);
+                    EXPECT_EQ(value, it->second);
+                    ++it;
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(it, model.end());
+}
+
+uint64_t Compactions() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("bp_btree_compactions", "", "")
+      ->value();
+}
+
+// A rewrite that does not grow its cell happens in place, the tail of a
+// shortened cell counted as frag, and a cell that grows back fits in the
+// frag a compaction reclaims. Leaves filled by sequential appends, as a
+// Table fills them, keep their shape through three rewrites of every key
+// in one transaction; the transaction rolls back to the original values,
+// and a committed run survives log recovery and a checkpoint.
+TEST_F(BTreeTest, RewritesInPlaceKeepPagesRollBackAndRecover) {
+  constexpr uint64_t kKeys = 400;  // several full leaves
+  const PageId root = tree_->root();
+  // `len` bytes naming the key and the phase.
+  auto value_for = [](uint64_t k, char phase, size_t len) {
+    std::string v = phase + std::to_string(k);
+    v.resize(len, phase);
+    return v;
+  };
+  auto put_all = [&](char phase, size_t len) {
+    std::map<std::string, std::string> model;
+    for (uint64_t k = 1; k <= kKeys; ++k) {
+      const std::string key = OrderedKeyU64(k);
+      model[key] = value_for(k, phase, len);
+      EXPECT_TRUE(tree_->Put(key, model[key]).ok()) << k;
+    }
+    return model;
+  };
+
+  ASSERT_TRUE(pager_->Begin().ok());
+  const auto original = put_all('a', 40);
+  ASSERT_TRUE(pager_->Commit().ok());
+  const auto shape = tree_->Stats();
+  ASSERT_TRUE(shape.ok());
+  ASSERT_GE(shape->leaf_pages, 3u);
+  ASSERT_EQ(shape->interior_pages, 1u);
+  auto expect_shape = [&] {
+    auto stats = tree_->Stats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->leaf_pages, shape->leaf_pages);
+    EXPECT_EQ(stats->interior_pages, shape->interior_pages);
+    EXPECT_EQ(stats->cells, kKeys);
+  };
+  auto rewrite_three_times = [&] {
+    const uint64_t before = Compactions();
+    ExpectTreeEquals(*tree_, put_all('b', 40));  // equal size
+    expect_shape();
+    ExpectTreeEquals(*tree_, put_all('c', 12));  // shorter
+    expect_shape();
+    EXPECT_EQ(Compactions(), before) << "an in-place rewrite repacked a page";
+    auto regrown = put_all('d', 40);  // the original length again
+    ExpectTreeEquals(*tree_, regrown);
+    expect_shape();  // the regrow fit in the reclaimed frag: no split
+    EXPECT_GT(Compactions(), before);
+    return regrown;
+  };
+
+  ASSERT_TRUE(pager_->Begin().ok());
+  rewrite_three_times();
+  ASSERT_TRUE(pager_->Rollback().ok());
+  ExpectTreeEquals(*tree_, original);
+  expect_shape();
+
+  ASSERT_TRUE(pager_->Begin().ok());
+  const auto committed = rewrite_three_times();
+  ASSERT_TRUE(pager_->Commit().ok());
+
+  auto reopen = [&] {
+    PagerOptions opts;
+    opts.env = &env_;
+    auto pager = Pager::Open("db", opts);
+    ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+    pager_ = std::move(*pager);
+    tree_ = std::make_unique<BTree>(*pager_, root);
+  };
+  // Power loss instead of a clean close: Open replays the log.
+  const auto files = env_.SnapshotAll();
+  tree_.reset();
+  pager_.reset();
+  env_.RestoreAll(files);
+  reopen();
+  ExpectTreeEquals(*tree_, committed);
+  ASSERT_TRUE(pager_->Checkpoint().ok());
+  ExpectTreeEquals(*tree_, committed);
+  // Only the database file the checkpoint folded remains.
+  tree_.reset();
+  pager_.reset();
+  reopen();
+  ExpectTreeEquals(*tree_, committed);
+  expect_shape();
 }
 
 // ------------------------------------------------------------------ db

@@ -364,6 +364,46 @@ TEST(PagerWalTest, ThresholdCheckpointFoldsAndTruncatesLog) {
   }
 }
 
+TEST(PagerWalTest, DeferredCheckpointFoldsAtTheNextCommitOutsideTheScope) {
+  MemEnv env;
+  PagerOptions opts = WalPagerOptions(&env);
+  opts.wal_checkpoint_bytes = 1;  // every commit crosses the threshold
+  auto pager = Pager::Open("db", opts);
+  ASSERT_TRUE(pager.ok());
+  std::vector<PageId> ids;
+  auto commit_page = [&](char c) {
+    ASSERT_TRUE((*pager)->Begin().ok());
+    auto id = (*pager)->Allocate();
+    ASSERT_TRUE(id.ok());
+    (*(*pager)->GetMutable(*id)).mutable_data()[0] = c;
+    ids.push_back(*id);
+    ASSERT_TRUE((*pager)->Commit().ok());
+  };
+  const uint64_t before = (*pager)->stats().checkpoints;
+  {
+    Pager::DeferCheckpoints outer(**pager);
+    {
+      Pager::DeferCheckpoints inner(**pager);
+      commit_page('a');
+    }
+    commit_page('b');  // still inside the outer scope
+    EXPECT_EQ((*pager)->stats().checkpoints, before);
+  }
+  commit_page('c');  // the first commit outside folds the whole log
+  EXPECT_EQ((*pager)->stats().checkpoints, before + 1);
+  {
+    // An explicit Checkpoint is not held off.
+    Pager::DeferCheckpoints scope(**pager);
+    commit_page('d');
+    ASSERT_TRUE((*pager)->Checkpoint().ok());
+    EXPECT_EQ((*pager)->stats().checkpoints, before + 2);
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ((*(*pager)->Get(ids[i])).data()[0],
+              static_cast<char>('a' + i));
+  }
+}
+
 TEST(PagerWalTest, EvictedPageIsReadBackFromLog) {
   MemEnv env;
   PagerOptions opts = WalPagerOptions(&env);
