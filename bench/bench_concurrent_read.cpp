@@ -94,6 +94,9 @@ int main(int argc, char** argv) {
     options.db.env = &env;
     options.db.sync = false;  // measuring CPU/concurrency, not fsync
     options.db.pool_bytes = size_t{64} << 20;
+    // One storage transaction per capture batch (IngestAll chunks by
+    // ingest_batch).
+    options.ingest_batch = kBatchEvents;
     // The one-shot sweep queries run against whatever has committed
     // (no read-your-writes drain): its readers are other threads with
     // no tickets of their own to wait for.
@@ -112,15 +115,15 @@ int main(int argc, char** argv) {
     }
 
     size_t reserve_pos = 0;
+    std::vector<capture::BrowserEvent> slice;
+    slice.reserve(kBatchEvents);
     auto ingest_batch = [&] {
-      {
-        prov::ProvenanceDb::Batch batch(*db);
-        for (size_t i = 0; i < kBatchEvents; ++i) {
-          MustOk(db->Ingest(reserve.events[reserve_pos]), "live ingest");
-          reserve_pos = (reserve_pos + 1) % reserve.events.size();
-        }
-        MustOk(batch.Commit(), "live commit");
+      slice.clear();
+      for (size_t i = 0; i < kBatchEvents; ++i) {
+        slice.push_back(reserve.events[reserve_pos]);
+        reserve_pos = (reserve_pos + 1) % reserve.events.size();
       }
+      MustOk(db->IngestAll(slice), "live ingest");
       std::this_thread::sleep_for(kModeledSync);
     };
 

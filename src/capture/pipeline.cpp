@@ -13,8 +13,9 @@ namespace bp::capture {
 using util::Result;
 using util::Status;
 
-IngestPipeline::IngestPipeline(PipelineOptions options, CommitFn commit,
-                               SyncFn sync)
+template <typename Item>
+IngestPipeline<Item>::IngestPipeline(PipelineOptions options, CommitFn commit,
+                                     SyncFn sync)
     : options_([&] {
         PipelineOptions o = options;
         o.queue_capacity = std::max<size_t>(1, o.queue_capacity);
@@ -37,12 +38,11 @@ IngestPipeline::IngestPipeline(PipelineOptions options, CommitFn commit,
   batch_events_ = reg.GetHistogram(
       "bp_ingest_batch_events", "",
       "Events coalesced per committer storage transaction");
-  queue_depth_gauge_ = reg.GetGauge("bp_ingest_queue_depth", "",
-                                    "Events waiting in the ingest queue");
   committer_ = std::thread([this] { CommitterLoop(); });
 }
 
-IngestPipeline::~IngestPipeline() {
+template <typename Item>
+IngestPipeline<Item>::~IngestPipeline() {
   {
     util::MutexLock lock(mu_);
     // Shutdown behaves like a final Drain: the committer empties the
@@ -55,8 +55,9 @@ IngestPipeline::~IngestPipeline() {
   committer_.join();
 }
 
-Result<IngestPipeline::Ticket> IngestPipeline::Enqueue(
-    const BrowserEvent& event) {
+template <typename Item>
+Result<typename IngestPipeline<Item>::Ticket> IngestPipeline<Item>::Enqueue(
+    Item item) {
   obs::ScopedTimerUs timer(enqueue_latency_us_);
   if (std::this_thread::get_id() == committer_.get_id()) {
     // A sink fed back into its own pipeline (e.g. async_sink()
@@ -88,7 +89,7 @@ Result<IngestPipeline::Ticket> IngestPipeline::Enqueue(
     if (!status_.ok()) return status_;
     if (stop_) return Status::Aborted("ingest pipeline is shutting down");
   }
-  queue_.push_back(event);
+  queue_.push_back(std::move(item));
   Ticket ticket = next_ticket_++;
   ++stats_.enqueued;
   stats_.max_queue_depth =
@@ -97,12 +98,12 @@ Result<IngestPipeline::Ticket> IngestPipeline::Enqueue(
   // see PipelineStats::mean_queue_depth.
   ++depth_samples_;
   depth_sum_ += queue_.size();
-  queue_depth_gauge_->Set(static_cast<int64_t>(queue_.size()));
   work_cv_.notify_one();
   return ticket;
 }
 
-Status IngestPipeline::Flush(Ticket ticket) {
+template <typename Item>
+Status IngestPipeline<Item>::Flush(Ticket ticket) {
   util::MutexLock lock(mu_);
   ticket = std::min(ticket, next_ticket_ - 1);
   if (durable_ >= ticket) return Status::Ok();  // already acknowledged
@@ -116,24 +117,50 @@ Status IngestPipeline::Flush(Ticket ticket) {
   return durable_ >= ticket ? Status::Ok() : status_;
 }
 
-IngestPipeline::Ticket IngestPipeline::last_enqueued() const {
+template <typename Item>
+void IngestPipeline<Item>::Fail(Status status) {
+  BP_CHECK(!status.ok());
+  util::MutexLock lock(mu_);
+  LatchLocked(std::move(status));
+}
+
+template <typename Item>
+void IngestPipeline<Item>::LatchLocked(Status status) {
+  if (status_.ok()) status_ = std::move(status);
+  // Nothing queued will ever commit. Drop the backlog so blocked
+  // producers stop waiting for space that would never drain; their
+  // items are reported lost through the sticky status, never silently.
+  queue_.clear();
+  popped_ = next_ticket_ - 1;
+  space_cv_.notify_all();
+  ack_cv_.notify_all();
+}
+
+template <typename Item>
+typename IngestPipeline<Item>::Ticket IngestPipeline<Item>::last_enqueued()
+    const {
   util::MutexLock lock(mu_);
   return next_ticket_ - 1;
 }
 
-IngestPipeline::Ticket IngestPipeline::durable_ticket() const {
+template <typename Item>
+typename IngestPipeline<Item>::Ticket IngestPipeline<Item>::durable_ticket()
+    const {
   util::MutexLock lock(mu_);
   return durable_;
 }
 
-Status IngestPipeline::status() const {
+template <typename Item>
+Status IngestPipeline<Item>::status() const {
   util::MutexLock lock(mu_);
   return status_;
 }
 
-PipelineStats IngestPipeline::stats() const {
+template <typename Item>
+PipelineStats IngestPipeline<Item>::stats() const {
   util::MutexLock lock(mu_);
   PipelineStats out = stats_;
+  out.queue_depth = queue_.size();
   out.mean_queue_depth =
       depth_samples_ == 0
           ? 0.0
@@ -142,7 +169,8 @@ PipelineStats IngestPipeline::stats() const {
   return out;
 }
 
-void IngestPipeline::CommitterLoop() {
+template <typename Item>
+void IngestPipeline<Item>::CommitterLoop() {
   util::MutexLock lock(mu_);
   for (;;) {
     while (!(stop_ || !queue_.empty() || SyncWantedLocked())) {
@@ -151,10 +179,10 @@ void IngestPipeline::CommitterLoop() {
 
     if (!queue_.empty() && status_.ok()) {
       // Adaptive batch: take whatever is pending, up to the cap, into
-      // one storage transaction — a deep queue amortizes per-commit
-      // cost, a queue of one stays a low-latency single-event commit.
+      // one CommitFn call — a deep queue amortizes per-commit cost, a
+      // queue of one stays a low-latency single-item commit.
       const size_t n = std::min(queue_.size(), options_.max_batch);
-      std::vector<BrowserEvent> batch;
+      std::vector<Item> batch;
       batch.reserve(n);
       for (size_t i = 0; i < n; ++i) {
         batch.push_back(std::move(queue_.front()));
@@ -165,7 +193,6 @@ void IngestPipeline::CommitterLoop() {
       const size_t backlog = queue_.size();
       ++depth_samples_;
       depth_sum_ += backlog;
-      queue_depth_gauge_->Set(static_cast<int64_t>(backlog));
       batch_events_->Record(n);
       space_cv_.notify_all();
 
@@ -179,7 +206,7 @@ void IngestPipeline::CommitterLoop() {
       lock.Lock();
 
       if (!durable.ok()) {
-        status_ = durable.status();
+        LatchLocked(durable.status());
       } else {
         committed_ = batch_last;
         ++stats_.batches;
@@ -191,10 +218,10 @@ void IngestPipeline::CommitterLoop() {
 
     // Adaptive group close: the storage group-commit window is a
     // CEILING. When the queue runs dry (shutdown included), or a Flush
-    // waits only on committed events, make the committed tail durable
-    // now instead of letting it sit until the window fills. A Flush
-    // whose events are still queued waits for the batches ahead of it
-    // and one sync, not a sync per batch.
+    // waits only on committed items, acknowledge the committed tail now
+    // instead of letting it sit until the window fills. A Flush whose
+    // items are still queued waits for the batches ahead of it and one
+    // sync, not a sync per batch.
     if (status_.ok() && durable_ < committed_ &&
         (queue_.empty() || FlushCommittedLocked())) {
       lock.Unlock();
@@ -206,26 +233,19 @@ void IngestPipeline::CommitterLoop() {
       }
       lock.Lock();
       if (!synced.ok()) {
-        status_ = synced;
+        LatchLocked(std::move(synced));
       } else {
         durable_ = committed_;
         ++stats_.early_flushes;
       }
-    }
-
-    if (!status_.ok() && !queue_.empty()) {
-      // Sticky failure: nothing behind the failed batch will ever
-      // commit. Drop the backlog so blocked producers stop waiting for
-      // space that would never drain; their events are reported lost
-      // through the sticky status, never silently.
-      queue_.clear();
-      popped_ = next_ticket_ - 1;
-      space_cv_.notify_all();
     }
     ack_cv_.notify_all();
 
     if (stop_ && (queue_.empty() || !status_.ok())) return;
   }
 }
+
+template class IngestPipeline<BrowserEvent>;
+template class IngestPipeline<ProfileEvent>;
 
 }  // namespace bp::capture

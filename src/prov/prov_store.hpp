@@ -75,16 +75,14 @@ class ProvStore {
   //     BP_RETURN_IF_ERROR(batch.Commit()); }
   //
   // Destruction without Commit rolls the whole batch back. This is also
-  // the unit of work of ProvenanceDb's async ingest committer: each
-  // drained queue batch becomes exactly one IngestBatch, so a batch of
-  // asynchronously captured events is all-or-nothing on disk.
+  // ProvenanceDb's unit of ingestion: each IngestAll chunk and each
+  // drained queue batch of its async committer becomes exactly one
+  // IngestBatch, so a batch of captured events is all-or-nothing on
+  // disk.
   class IngestBatch {
    public:
     explicit IngestBatch(ProvStore& store) : txn_(store.db_.pager()) {}
     util::Status Commit() { return txn_.Commit(); }
-    // Whether destruction without Commit actually rolls back (false for
-    // a batch nested inside an outer transaction).
-    bool owns_transaction() const { return txn_.owns(); }
 
    private:
     storage::AutoTxn txn_;

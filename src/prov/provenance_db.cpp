@@ -1,6 +1,7 @@
 #include "prov/provenance_db.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -82,7 +83,8 @@ Result<std::unique_ptr<ProvenanceDb>> ProvenanceDb::Open(
           util::Result<IngestTicket> ticket = raw->IngestAsync(event);
           return ticket.ok() ? util::Status::Ok() : ticket.status();
         });
-    out->pipeline_ = std::make_unique<capture::IngestPipeline>(
+    out->pipeline_ = std::make_unique<
+        capture::IngestPipeline<capture::BrowserEvent>>(
         popts,
         [raw](std::vector<capture::BrowserEvent>&& events, size_t backlog) {
           return raw->CommitEventBatch(std::move(events), backlog);
@@ -109,6 +111,8 @@ Result<std::unique_ptr<ProvenanceDb>> ProvenanceDb::Open(
       sink.Counter("bp_ingest_blocked_enqueues", labels,
                    "Enqueues that waited on a full queue",
                    p.blocked_enqueues);
+      sink.Gauge("bp_ingest_queue_depth", labels,
+                 "Events waiting in the ingest queue", p.queue_depth);
       sink.Gauge("bp_ingest_max_queue_depth", labels,
                  "Deepest the ingest queue ever got", p.max_queue_depth);
       sink.Gauge("bp_ingest_mean_queue_depth", labels,
@@ -137,11 +141,7 @@ Status ProvenanceDb::Close() {
   // Checked before any irreversible step so a refused Close leaves a
   // fully working database.
   {
-    util::RecursiveMutexLock lock(mu_);
-    if (db_->pager().InTransaction()) {
-      return Status::FailedPrecondition(
-          "Close inside an open Batch: commit or roll it back first");
-    }
+    util::MutexLock lock(mu_);
     if (db_->pager().live_snapshots() > 0) {
       return Status::FailedPrecondition(
           "Close with live SnapshotViews: destroy every view first");
@@ -159,7 +159,7 @@ Status ProvenanceDb::Close() {
   pipeline_.reset();
   async_sink_.reset();
 
-  util::RecursiveMutexLock lock(mu_);
+  util::MutexLock lock(mu_);
   // Fold the log into the database file now. ~Pager would do this too,
   // but here the error surfaces — and on failure the log simply stays
   // behind for the next Open to replay, so closing remains safe to
@@ -211,34 +211,12 @@ capture::PipelineStats ProvenanceDb::pipeline_stats() const {
                               : pipeline_->stats();
 }
 
-// Committer thread: one storage transaction for the whole batch. The
-// writer lock is held end to end, so no query can interleave — which is
-// why, unlike the user-facing Batch, a rollback here needs no searcher
-// index restore (nothing can have indexed the doomed pages).
+// Committer thread: one storage transaction for the whole batch.
 Result<bool> ProvenanceDb::CommitEventBatch(
     std::vector<capture::BrowserEvent>&& events, size_t backlog) {
   (void)backlog;  // batch size already adapted by the pipeline's pop
-  util::RecursiveMutexLock lock(mu_);
-  ProvStore::IngestBatch batch(*store_);
-  for (const capture::BrowserEvent& event : events) {
-    Status published = bus_.Publish(event);
-    if (!published.ok()) {
-      // ~IngestBatch rolls the whole transaction back: the batch is
-      // all-or-nothing, so a mid-batch sink failure never leaves a
-      // half-applied event group behind.
-      return published;
-    }
-  }
-  index_stale_ = true;
-  Status committed = batch.Commit();
-  if (!committed.ok()) {
-    // Commit marks the AutoTxn retired before the pager runs, so a
-    // failed pager commit leaves the transaction open; roll it back so
-    // the pager is usable when the sticky error is later cleared by a
-    // reopen.
-    if (db_->pager().InTransaction()) (void)db_->pager().Rollback();
-    return committed;
-  }
+  util::MutexLock lock(mu_);
+  BP_RETURN_IF_ERROR(IngestChunkLocked(events));
   // Durable already? True when the commit filled and flushed the
   // group-commit window.
   return db_->pager().unsynced_commits() == 0;
@@ -256,34 +234,44 @@ Status ProvenanceDb::SyncPipeline() {
 }
 
 Status ProvenanceDb::Ingest(const capture::BrowserEvent& event) {
-  util::RecursiveMutexLock lock(mu_);
+  util::MutexLock lock(mu_);
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
-  index_stale_ = true;
-  return bus_.Publish(event);
+  return IngestChunkLocked({&event, 1});
 }
 
 Status ProvenanceDb::IngestAll(
     const std::vector<capture::BrowserEvent>& events) {
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
-  for (size_t start = 0; start < events.size(); start += ingest_batch_) {
-    const size_t end = std::min(events.size(), start + ingest_batch_);
-    Batch batch(*this);
-    for (size_t i = start; i < end; ++i) {
-      BP_RETURN_IF_ERROR(Ingest(events[i]));
-    }
-    BP_RETURN_IF_ERROR(batch.Commit());
+  const std::span<const capture::BrowserEvent> all(events);
+  for (size_t start = 0; start < all.size(); start += ingest_batch_) {
+    util::MutexLock lock(mu_);
+    BP_RETURN_IF_ERROR(IngestChunkLocked(
+        all.subspan(start, std::min(ingest_batch_, all.size() - start))));
   }
   return Status::Ok();
 }
 
-Status ProvenanceDb::RefreshIndex() {
-  if (restore_index_) {
-    // A Batch rolled back after a mid-batch query indexed its pages:
-    // re-read the watermark and corpus stats from the reverted trees,
-    // so the rolled-back node ids (now reusable) are indexed again.
-    BP_RETURN_IF_ERROR(searcher_->index().ReloadStats());
-    restore_index_ = false;
+Status ProvenanceDb::IngestChunkLocked(
+    std::span<const capture::BrowserEvent> events) {
+  ProvStore::IngestBatch batch(*store_);
+  for (const capture::BrowserEvent& event : events) {
+    // On failure ~IngestBatch rolls the whole transaction back: a
+    // mid-chunk sink failure never leaves a half-applied group behind.
+    BP_RETURN_IF_ERROR(bus_.Publish(event));
   }
+  index_stale_ = true;
+  Status committed = batch.Commit();
+  if (!committed.ok() && db_->pager().InTransaction()) {
+    // Commit marks the AutoTxn retired before the pager runs, so a
+    // pager commit that failed before its commit frame reached the log
+    // leaves the transaction open; roll it back so the pager stays
+    // usable.
+    (void)db_->pager().Rollback();
+  }
+  return committed;
+}
+
+Status ProvenanceDb::RefreshIndex() {
   if (!index_stale_) return Status::Ok();
   // The refresh commits on a query's behalf; a threshold checkpoint
   // there would put the log fold on that query's latency. The next
@@ -295,21 +283,26 @@ Status ProvenanceDb::RefreshIndex() {
 }
 
 Status ProvenanceDb::Sync() {
-  util::RecursiveMutexLock lock(mu_);
+  util::MutexLock lock(mu_);
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
   return db_->pager().SyncWal();
 }
 
 Status ProvenanceDb::Checkpoint() {
-  util::RecursiveMutexLock lock(mu_);
+  util::MutexLock lock(mu_);
   if (closed_.load(std::memory_order_acquire)) return ClosedError();
   return db_->pager().Checkpoint();
 }
 
 // ------------------------------------------------------- snapshots
 
-Result<ProvenanceDb::SnapshotView> ProvenanceDb::BeginSnapshotLocked(
+Result<ProvenanceDb::SnapshotView> ProvenanceDb::OpenView(
     bool with_searcher) {
+  // Read-your-writes: everything IngestAsync'd so far must be inside
+  // the frozen view.
+  MaybeDrainForQuery();
+  util::MutexLock lock(mu_);
+  if (closed_.load(std::memory_order_acquire)) return ClosedError();
   SnapshotView view;
   if (with_searcher) {
     // Index first so text search over the frozen view covers everything
@@ -325,24 +318,6 @@ Result<ProvenanceDb::SnapshotView> ProvenanceDb::BeginSnapshotLocked(
                         searcher_->AtSnapshot(*view.snap_, *view.store_));
   }
   return view;
-}
-
-Result<ProvenanceDb::SnapshotView> ProvenanceDb::BeginSnapshot() {
-  // Read-your-writes: everything IngestAsync'd so far must be inside
-  // the frozen view (must run before the lock; the committer takes it).
-  MaybeDrainForQuery();
-  util::RecursiveMutexLock lock(mu_);
-  if (closed_.load(std::memory_order_acquire)) return ClosedError();
-  if (db_->pager().InTransaction()) {
-    // A snapshot here could not keep the "fully searchable" promise:
-    // the index refresh would compose into the open batch (uncommitted,
-    // so invisible to the snapshot), silently hiding committed pages
-    // the stale index has not covered yet. Refuse instead.
-    return Status::FailedPrecondition(
-        "BeginSnapshot inside an open Batch: take the snapshot before "
-        "the batch or after it commits");
-  }
-  return BeginSnapshotLocked(/*with_searcher=*/true);
 }
 
 namespace {
@@ -431,55 +406,33 @@ graph::NodeCursor ProvenanceDb::SnapshotView::Nodes(
 
 // --------------------------------------------------- one-shot queries
 //
-// All six dispatch through OneShot (provenance_db.hpp): each call
-// opens a private snapshot — the lock is held only while the snapshot
-// is created, and the query itself runs against the frozen view,
-// concurrently with ingestion and other readers. Mid-batch calls run
-// the live path under the lock, so they read the batch's own writes.
+// Each call opens a private snapshot — the lock is held only while the
+// snapshot is created, and the query itself runs against the frozen
+// view, concurrently with ingestion and other readers.
 
 Result<search::ContextualSearchResult> ProvenanceDb::Search(
     const std::string& query,
     const search::ContextualSearchOptions& options) {
   obs::ScopedTimerUs timer(query_us_search_);
   obs::ScopedSpan span("query.search");
-  return OneShot(
-      /*with_searcher=*/true,
-      [&](SnapshotView& view) { return view.Search(query, options); },
-      [&]() -> Result<search::ContextualSearchResult> {
-        // OneShot invokes this while holding mu_; the analysis checks
-        // lambda bodies as separate functions, so restate that here.
-        mu_.AssertHeld();
-        BP_RETURN_IF_ERROR(RefreshIndex());
-        return searcher_->ContextualSearch(query, options);
-      });
+  BP_ASSIGN_OR_RETURN(SnapshotView view, OpenView(/*with_searcher=*/true));
+  return view.Search(query, options);
 }
 
 Result<search::ContextualSearchResult> ProvenanceDb::TextualSearch(
     const std::string& query, size_t k) {
   obs::ScopedTimerUs timer(query_us_textual_);
   obs::ScopedSpan span("query.textual_search");
-  return OneShot(
-      /*with_searcher=*/true,
-      [&](SnapshotView& view) { return view.TextualSearch(query, k); },
-      [&]() -> Result<search::ContextualSearchResult> {
-        mu_.AssertHeld();  // held by OneShot (see Search above)
-        BP_RETURN_IF_ERROR(RefreshIndex());
-        return searcher_->TextualSearch(query, k);
-      });
+  BP_ASSIGN_OR_RETURN(SnapshotView view, OpenView(/*with_searcher=*/true));
+  return view.TextualSearch(query, k);
 }
 
 Result<search::PersonalizationResult> ProvenanceDb::Personalize(
     const std::string& query, const search::PersonalizeOptions& options) {
   obs::ScopedTimerUs timer(query_us_personalize_);
   obs::ScopedSpan span("query.personalize");
-  return OneShot(
-      /*with_searcher=*/true,
-      [&](SnapshotView& view) { return view.Personalize(query, options); },
-      [&]() -> Result<search::PersonalizationResult> {
-        mu_.AssertHeld();  // held by OneShot (see Search above)
-        BP_RETURN_IF_ERROR(RefreshIndex());
-        return search::PersonalizeQuery(*searcher_, query, options);
-      });
+  BP_ASSIGN_OR_RETURN(SnapshotView view, OpenView(/*with_searcher=*/true));
+  return view.Personalize(query, options);
 }
 
 Result<search::TimeContextResult> ProvenanceDb::TimeContext(
@@ -487,45 +440,24 @@ Result<search::TimeContextResult> ProvenanceDb::TimeContext(
     const search::TimeContextOptions& options) {
   obs::ScopedTimerUs timer(query_us_time_context_);
   obs::ScopedSpan span("query.time_context");
-  return OneShot(
-      /*with_searcher=*/true,
-      [&](SnapshotView& view) {
-        return view.TimeContext(primary_query, context_query, options);
-      },
-      [&]() -> Result<search::TimeContextResult> {
-        mu_.AssertHeld();  // held by OneShot (see Search above)
-        BP_RETURN_IF_ERROR(RefreshIndex());
-        return search::TimeContextualSearch(*searcher_, primary_query,
-                                            context_query, options);
-      });
+  BP_ASSIGN_OR_RETURN(SnapshotView view, OpenView(/*with_searcher=*/true));
+  return view.TimeContext(primary_query, context_query, options);
 }
 
 Result<search::LineageReport> ProvenanceDb::TraceDownload(
     graph::NodeId download, const search::LineageOptions& options) {
   obs::ScopedTimerUs timer(query_us_trace_);
   obs::ScopedSpan span("query.trace_download");
-  return OneShot(
-      /*with_searcher=*/false,
-      [&](SnapshotView& view) {
-        return view.TraceDownload(download, options);
-      },
-      [&]() -> Result<search::LineageReport> {
-        return search::TraceDownload(*store_, download, options);
-      });
+  BP_ASSIGN_OR_RETURN(SnapshotView view, OpenView(/*with_searcher=*/false));
+  return view.TraceDownload(download, options);
 }
 
 Result<search::DescendantReport> ProvenanceDb::DescendantDownloads(
     const std::string& url, const search::LineageOptions& options) {
   obs::ScopedTimerUs timer(query_us_descendants_);
   obs::ScopedSpan span("query.descendant_downloads");
-  return OneShot(
-      /*with_searcher=*/false,
-      [&](SnapshotView& view) {
-        return view.DescendantDownloads(url, options);
-      },
-      [&]() -> Result<search::DescendantReport> {
-        return search::DescendantDownloads(*store_, url, options);
-      });
+  BP_ASSIGN_OR_RETURN(SnapshotView view, OpenView(/*with_searcher=*/false));
+  return view.DescendantDownloads(url, options);
 }
 
 // --------------------------------------------------- observability

@@ -21,18 +21,21 @@
 // storage transaction each, group-committed under load, fsynced
 // immediately when the queue runs dry. The lazy text-index refresh a
 // query runs never folds the log: threshold checkpoints land on ingest
-// commits. Flush(ticket)/Drain() are the durability barriers;
-// read-your-writes for queries is preserved by draining before one-shot
-// queries and BeginSnapshot (see
-// Options::async.drain_before_query). The synchronous Ingest/IngestAll/
-// Batch path remains for callers that want commit-on-return semantics;
-// both paths serialize on the same internal writer mutex, so they
-// interleave at transaction granularity.
+// commits. Flush(ticket)/Drain() are the durability barriers: this
+// facade's pipeline acknowledges a ticket only once the log holding its
+// commit is fsynced. (A ProvenanceService shard runs the same pipeline
+// but acknowledges at commit; see service/provenance_service.hpp.)
+// Read-your-writes for queries is preserved by draining before one-shot
+// queries and BeginSnapshot (see Options::async.drain_before_query).
+// The synchronous Ingest/IngestAll path remains for callers that want
+// commit-on-return semantics; both paths serialize on the same internal
+// writer mutex, taken once per storage transaction, so they interleave
+// at transaction granularity.
 //
 // One-shot query methods may be called from any thread, and every
-// one-shot query outside an open Batch runs against a fresh snapshot —
-// so queries from other threads never observe a half-applied batch and
-// never block behind each other, only behind snapshot creation. For
+// one-shot query runs against a fresh snapshot — so queries from other
+// threads never observe a half-applied batch and never block behind
+// each other, only behind snapshot creation. For
 // query bursts that should share one consistent view (paging through
 // results, multi-query forensics, repeated TimeContext against one
 // interval index), BeginSnapshot() hands out a SnapshotView that pins
@@ -50,7 +53,7 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,7 +68,6 @@
 #include "storage/db.hpp"
 #include "storage/snapshot.hpp"
 #include "util/mutex.hpp"
-#include "util/require.hpp"
 #include "util/status.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -138,10 +140,9 @@ class ProvenanceDb {
   // it surfaces the errors a destructor would swallow (the first of:
   // drain failure, checkpoint failure).
   //
-  // Preconditions: no open Batch, no live SnapshotView, and — like the
-  // destructor — no concurrent calls on this instance. Returns
-  // FailedPrecondition (and closes nothing) when a Batch or snapshot is
-  // still open.
+  // Preconditions: no live SnapshotView and — like the destructor — no
+  // concurrent calls on this instance. Returns FailedPrecondition (and
+  // closes nothing) while a snapshot is still open.
   //
   // Post-Close contract: Close() again is Ok (idempotent); every
   // ingestion, query, snapshot, and durability method returns
@@ -163,12 +164,12 @@ class ProvenanceDb {
   //                  batches, commits, and adaptively group-commits.
   //                  This is the capture path: a browser thread pays a
   //                  queue push, never a storage transaction.
-  //   Ingest/IngestAll/Batch — synchronous; committed (though with
-  //                  group commit not necessarily fsynced) on return.
+  //   Ingest/IngestAll — synchronous; committed (though with group
+  //                  commit not necessarily fsynced) on return.
 
   // Ticket identifying one asynchronously ingested event; pass it to
   // Flush to wait for durability. Tickets are dense and monotone.
-  using IngestTicket = capture::IngestPipeline::Ticket;
+  using IngestTicket = capture::IngestPipeline<capture::BrowserEvent>::Ticket;
 
   // Enqueues the event for the background committer and returns its
   // ticket without touching storage. On a full queue the configured
@@ -180,8 +181,6 @@ class ProvenanceDb {
 
   // Blocks until every event up to `ticket` is durable (committed AND
   // fsynced — stronger than synchronous Ingest under group commit).
-  // Do not call inside an open Batch: the committer needs the writer
-  // lock the Batch holds.
   util::Status Flush(IngestTicket ticket);
   // Barrier over everything enqueued so far: Flush(last ticket).
   util::Status Drain();
@@ -196,58 +195,16 @@ class ProvenanceDb {
   // external bus; this facade's own bus stays on the committer thread.
   capture::EventSink* async_sink() { return async_sink_.get(); }
 
-  // Publishes one event to every subscribed sink.
+  // Publishes one event to every subscribed sink as one storage
+  // transaction: a one-event IngestAll.
   util::Status Ingest(const capture::BrowserEvent& event);
 
   // Publishes all events, `ingest_batch` per storage transaction (with
   // WAL group commit, adjacent batches additionally share an fsync).
+  // Each chunk is all-or-nothing: a sink failure or a failed commit
+  // rolls the chunk back and returns the error; earlier chunks stay
+  // committed.
   util::Status IngestAll(const std::vector<capture::BrowserEvent>& events);
-
-  // Groups many Ingest calls into one storage transaction, holding the
-  // facade's writer lock for its whole lifetime (snapshot readers keep
-  // running; other writers and one-shot queries wait). Destruction
-  // without Commit rolls the batch back.
-  //
-  //   { prov::ProvenanceDb::Batch batch(*db);
-  //     ... db->Ingest(...); db->Ingest(...); ...
-  //     BP_RETURN_IF_ERROR(batch.Commit()); }
-  class Batch {
-   public:
-    // Contract violation (throws) on a closed database: the batch
-    // would have no storage to compose into.
-    explicit Batch(ProvenanceDb& db)
-        : db_(CheckOpenForBatch(db)), lock_(db.mu_), inner_(*db.store_) {
-      // While any user Batch is open, queries skip the read-your-writes
-      // drain: the committer needs mu_ (held right here) to make
-      // progress, so a same-thread drain would deadlock — and mid-batch
-      // queries want the live read-your-own-writes path anyway.
-      db_.user_batches_.fetch_add(1, std::memory_order_release);
-    }
-    util::Status Commit() {
-      util::Status status = inner_.Commit();
-      committed_ = status.ok();
-      return status;
-    }
-    // Destruction without Commit rolls the storage back (when this
-    // batch owns the transaction). A mid-batch text query may have
-    // indexed the batch's pages (RefreshIndex composes into the open
-    // transaction), so the index's cached watermark and corpus stats
-    // now cover rolled-back node ids; schedule their reload for the
-    // next RefreshIndex — it must run AFTER the rollback, which member
-    // destruction order puts after this body.
-    ~Batch() {
-      if (!committed_ && inner_.owns_transaction()) {
-        db_.ScheduleIndexRestore();
-      }
-      db_.user_batches_.fetch_sub(1, std::memory_order_release);
-    }
-
-   private:
-    ProvenanceDb& db_;
-    util::RecursiveMutexLock lock_;
-    bool committed_ = false;
-    ProvStore::IngestBatch inner_;
-  };
 
   // -------------------------------------------------- read snapshots
   //
@@ -311,10 +268,9 @@ class ProvenanceDb {
   // ingest pipeline first when drain_before_query is on, then
   // refreshing the text index, so the frozen view is fully searchable
   // and covers every event already IngestAsync'd).
-  // FailedPrecondition inside an open Batch (the index refresh would
-  // compose into the uncommitted batch, leaving the view silently
-  // unsearchable for not-yet-indexed committed pages).
-  util::Result<SnapshotView> BeginSnapshot();
+  util::Result<SnapshotView> BeginSnapshot() {
+    return OpenView(/*with_searcher=*/true);
+  }
 
   // ------------------------------------------------------ durability
   //
@@ -331,10 +287,9 @@ class ProvenanceDb {
   // ------------------------------------------------------- queries
   //
   // One-shot: each call runs against a private snapshot opened for just
-  // that call, so concurrent ingestion never tears a result. Calls made
-  // inside an open Batch stay on the serialized live path, so they read
-  // the batch's own uncommitted events. Prefer BeginSnapshot when
-  // several queries must agree on one view or share its caches.
+  // that call, so concurrent ingestion never tears a result. Prefer
+  // BeginSnapshot when several queries must agree on one view or share
+  // its caches.
   //
   // Use case 2.1: provenance-aware contextual history search.
   util::Result<search::ContextualSearchResult> Search(
@@ -363,7 +318,7 @@ class ProvenanceDb {
   // hit/miss/eviction counts, resident pool bytes, WAL/fsync cost (see
   // storage::PagerStats). Cheap; safe from any thread.
   storage::PagerStats storage_stats() {
-    util::RecursiveMutexLock lock(mu_);
+    util::MutexLock lock(mu_);
     if (closed_.load(std::memory_order_acquire)) return final_stats_;
     return db_->pager().stats();
   }
@@ -400,76 +355,42 @@ class ProvenanceDb {
   static util::Status ClosedError() {
     return util::Status::FailedPrecondition("ProvenanceDb is closed");
   }
-  // Batch's constructor guard: using a closed database is a caller bug.
-  static ProvenanceDb& CheckOpenForBatch(ProvenanceDb& db) {
-    BP_REQUIRE(!db.closed_.load(std::memory_order_acquire),
-               "Batch on a closed ProvenanceDb");
-    return db;
-  }
-
-  // Re-indexes pages added since the last text-backed query, first
-  // undoing index state left behind by a rolled-back Batch.
+  // Re-indexes pages added since the last text-backed query.
   util::Status RefreshIndex() BP_REQUIRES(mu_);
-  // Called by ~Batch on rollback; mu_ is held (the Batch holds it —
-  // destructor bodies are outside the analysis, hence no caller check).
-  void ScheduleIndexRestore() BP_REQUIRES(mu_) {
-    restore_index_ = true;
-    index_stale_ = true;
-  }
-  // BeginSnapshot body; mu_ must already be held. Graph-only one-shot
-  // queries pass with_searcher=false to skip the text-index refresh
-  // and the searcher bind (lineage never touches the text index).
-  util::Result<SnapshotView> BeginSnapshotLocked(bool with_searcher)
+  // Publishes `events` as ONE storage transaction. On a sink or commit
+  // failure the whole chunk rolls back: the writer lock is held from
+  // the first publish to the commit, so no query can have indexed the
+  // doomed pages.
+  util::Status IngestChunkLocked(std::span<const capture::BrowserEvent> events)
       BP_REQUIRES(mu_);
+
+  // Every snapshot-opening path: the read-your-writes drain (which must
+  // happen BEFORE the lock — the committer takes mu_ per batch), then
+  // under the writer lock the text-index refresh (text-backed callers
+  // only: graph-only one-shot queries pass with_searcher=false, since
+  // lineage never touches the text index) and the snapshot itself.
+  // The view's queries then run with no lock held.
+  util::Result<SnapshotView> OpenView(bool with_searcher) BP_EXCLUDES(mu_);
 
   // Read-your-writes for queries: drains the ingest pipeline so events
   // already IngestAsync'd are committed before the query opens its
-  // view. Skipped when async is off, drain_before_query is off, or a
-  // user Batch is open (see Batch's constructor). A drain failure is
-  // the committer's sticky error — it surfaces on the next
-  // IngestAsync/Flush; the query proceeds against what committed.
+  // view. Skipped when async is off or drain_before_query is off. A
+  // drain failure is the committer's sticky error — it surfaces on the
+  // next IngestAsync/Flush; the query proceeds against what committed.
   void MaybeDrainForQuery() {
-    if (pipeline_ == nullptr || !drain_before_query_ ||
-        user_batches_.load(std::memory_order_acquire) > 0) {
-      return;
-    }
+    if (pipeline_ == nullptr || !drain_before_query_) return;
     (void)pipeline_->Drain();
   }
 
-  // The one-shot dispatch every query method shares: after the
-  // read-your-writes drain (which must happen BEFORE the lock — the
-  // committer takes mu_ per batch), under the writer lock either open a
-  // private snapshot and run `on_view` against it UNLOCKED (the
-  // concurrent path), or — inside an open Batch, whose caller expects
-  // to read its own uncommitted writes, which a snapshot excludes —
-  // run `on_live` while still holding the lock. Both callables return
-  // the same Result type; on_live is responsible for RefreshIndex when
-  // the query is text-backed.
-  template <typename ViewFn, typename LiveFn>
-  auto OneShot(bool with_searcher, ViewFn&& on_view, LiveFn&& on_live)
-      -> decltype(on_live()) {
-    MaybeDrainForQuery();
-    util::RecursiveMutexLock lock(mu_);
-    if (closed_.load(std::memory_order_acquire)) return ClosedError();
-    if (!db_->pager().InTransaction()) {
-      auto view = BeginSnapshotLocked(with_searcher);
-      if (!view.ok()) return view.status();
-      lock.Unlock();
-      return on_view(*view);
-    }
-    return on_live();
-  }
-
   // Serializes writers (ingestion, index refresh, snapshot creation,
-  // durability controls) against each other. Recursive because Batch
-  // holds it across user Ingest calls. Queries on an open SnapshotView
-  // never take it.
-  util::RecursiveMutex mu_;
+  // durability controls) against each other, one storage transaction
+  // at a time. Queries on an open SnapshotView never take it.
+  util::Mutex mu_;
 
   std::string path_;  // database path: the `db` label on exported samples
-  // Set by Close() (under mu_; atomic so lock-free entry points —
-  // IngestAsync, Batch's guard — can read it). Once true, every member
-  // below except final_stats_ may be null.
+  // Set by Close() (under mu_; atomic so lock-free entry points such as
+  // IngestAsync can read it). Once true, every member below except
+  // final_stats_ may be null.
   std::atomic<bool> closed_{false};
   // The last stats() before teardown; what storage_stats() reports
   // after Close.
@@ -481,9 +402,6 @@ class ProvenanceDb {
   std::unique_ptr<search::HistorySearcher> searcher_;
   size_t ingest_batch_ = 256;
   bool index_stale_ BP_GUARDED_BY(mu_) = false;
-  // Set by rolled-back Batches: reload the index state before the next
-  // re-index.
-  bool restore_index_ BP_GUARDED_BY(mu_) = false;
 
   // --- async ingest pipeline ---------------------------------------
   // The committer-thread callbacks behind the pipeline: one storage
@@ -493,9 +411,6 @@ class ProvenanceDb {
   util::Status SyncPipeline();
 
   bool drain_before_query_ = true;
-  // Open user Batches (writer lock held by a user thread); > 0 makes
-  // MaybeDrainForQuery a no-op.
-  std::atomic<int> user_batches_{0};
   std::unique_ptr<capture::AsyncSink> async_sink_;
 
   // Observability: one bp_query_us histogram per query family (labels
@@ -512,7 +427,7 @@ class ProvenanceDb {
   uint64_t metrics_token_ = 0;
   // Declared last (and reset first in the destructor): joining the
   // committer must happen while every member it reaches into is alive.
-  std::unique_ptr<capture::IngestPipeline> pipeline_;
+  std::unique_ptr<capture::IngestPipeline<capture::BrowserEvent>> pipeline_;
 };
 
 }  // namespace bp::prov

@@ -1,7 +1,6 @@
 #include "service/provenance_service.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "obs/metrics.hpp"
 #include "util/hash.hpp"
@@ -44,7 +43,7 @@ Result<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
   }
   // Mirror ProvenanceDb::Open's template validation here, so a bad
   // per-profile template fails at Create instead of at the first
-  // (possibly much later) handle open on a worker thread.
+  // (possibly much later) handle open on a shard thread.
   if (options.db.ingest_batch == 0) {
     return Status::InvalidArgument(
         "ServiceOptions::db.ingest_batch must be >= 1");
@@ -69,8 +68,8 @@ Result<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
   auto svc = std::unique_ptr<ProvenanceService>(new ProvenanceService());
   svc->root_ = root;
   svc->options_ = std::move(options);
-  // The shard worker is the committer: a per-profile pipeline thread
-  // would multiply committers by open handles for no added overlap.
+  // The shard is the committer: a per-profile pipeline thread would
+  // multiply committers by open handles for no added overlap.
   svc->options_.db.async.enabled = false;
   // One byte budget across every profile: adopt the caller's shared
   // pool or create one from the template's pool_bytes.
@@ -80,7 +79,7 @@ Result<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
         std::make_shared<storage::BufferPool>(db_template.pool_bytes);
   }
   svc->pool_ = db_template.buffer_pool;
-  // Normalize so the per-profile opens on worker threads see an
+  // Normalize so the per-profile opens on shard threads see an
   // agreeing (pool, pool_bytes) pair whatever the template said.
   db_template.pool_bytes = svc->pool_->byte_budget();
 
@@ -95,13 +94,25 @@ Result<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
       "bp_service_ingest_us", "service=\"" + root + "\"",
       "Service enqueue latency, including blocking backpressure (us)");
 
-  for (size_t i = 0; i < svc->options_.workers; ++i) {
-    svc->workers_.push_back(std::make_unique<Worker>());
-  }
   ProvenanceService* raw = svc.get();
+  capture::PipelineOptions shard_options;
+  shard_options.queue_capacity = svc->options_.queue_capacity;
+  shard_options.max_batch = svc->options_.queue_capacity;
+  shard_options.backpressure = svc->options_.backpressure;
+  for (size_t i = 0; i < svc->options_.workers; ++i) {
+    svc->shards_.push_back(std::make_unique<Shard>(
+        shard_options,
+        [raw](std::vector<capture::ProfileEvent>&& batch,
+              size_t) -> Result<bool> {
+          BP_RETURN_IF_ERROR(raw->CommitBatch(std::move(batch)));
+          return true;  // acknowledged at commit: Flush is no fsync
+        },
+        // Never called: every committed batch is already acknowledged.
+        [] { return Status::Ok(); }));
+  }
   svc->metrics_token_ = reg.AddCollector([raw](obs::CollectionSink& sink) {
     // Runs at dump time under the registry's collector lock. Stats()
-    // takes mu_ and each worker's mu briefly — safe only because the
+    // takes mu_ and each shard's lock briefly — safe only because the
     // service never acquires the collector lock (via ProvenanceDb
     // Open/Close) while holding either; see the lock-order note in
     // the header.
@@ -126,10 +137,10 @@ Result<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
                  "Handles closed by LRU pressure",
                  static_cast<double>(stats.evictions));
     sink.Counter("bp_service_enqueued", labels,
-                 "Events accepted into worker queues",
+                 "Events accepted into shard queues",
                  static_cast<double>(stats.enqueued));
     sink.Counter("bp_service_committed", labels,
-                 "Events handed to storage by shard workers",
+                 "Events in shard batches that committed",
                  static_cast<double>(stats.committed));
     sink.Counter("bp_service_rejected", labels,
                  "Full-queue rejections (BudgetExhausted)",
@@ -147,11 +158,6 @@ Result<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
                  static_cast<double>(stats.queue_depths[shard]));
     }
   });
-
-  for (auto& worker : svc->workers_) {
-    Worker* w = worker.get();
-    w->thread = std::thread([raw, w] { raw->WorkerLoop(*w); });
-  }
   return svc;
 }
 
@@ -161,17 +167,13 @@ ProvenanceService::~ProvenanceService() {
   if (metrics_token_ != 0) {
     obs::MetricsRegistry::Global().RemoveCollector(metrics_token_);
   }
-  // Stop the workers. The loop drains its queue before honoring stop,
-  // so everything accepted by Ingest reaches storage (lossless).
-  for (auto& worker : workers_) {
-    util::MutexLock lock(worker->mu);
-    worker->stop = true;
-    worker->work_cv.notify_all();
-    worker->space_cv.notify_all();
+  // Stop the shards. Each drains its queue before its committer
+  // exits, so everything accepted by Ingest reaches storage (lossless).
+  {
+    util::MutexLock lock(mu_);
+    stopping_ = true;
   }
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
+  shards_.clear();
   // Close every live handle cleanly (checkpoint + shared-pool frame
   // release). Close errors are swallowed here exactly as a destructor
   // chain would swallow them; call Drain() first to observe failures.
@@ -190,7 +192,7 @@ ProvenanceService::~ProvenanceService() {
 size_t ProvenanceService::ShardOf(const std::string& profile) const {
   // FNV-1a is stable across runs, platforms, and library versions —
   // a profile's shard (and therefore its event order) never migrates.
-  return util::Fnv1a64(profile) % workers_.size();
+  return util::Fnv1a64(profile) % shards_.size();
 }
 
 bool ProvenanceService::ValidProfileId(const std::string& profile) {
@@ -217,64 +219,25 @@ Status ProvenanceService::Ingest(const std::string& profile,
                                  const capture::BrowserEvent& event) {
   if (!ValidProfileId(profile)) return InvalidProfileId();
   obs::ScopedTimerUs timer(ingest_us_);
-  Worker& w = *workers_[ShardOf(profile)];
-  util::MutexLock lock(w.mu);
-  if (!w.status.ok()) return w.status;  // sticky shard failure
-  if (w.queue.size() >= options_.queue_capacity) {
-    if (options_.backpressure == capture::BackpressurePolicy::kReject) {
-      ++w.rejected;
-      return Status::BudgetExhausted("service shard queue is full");
-    }
-    ++w.blocked_enqueues;
-    while (w.queue.size() >= options_.queue_capacity && !w.stop &&
-           w.status.ok()) {
-      w.space_cv.wait(lock.native());
-    }
-    if (w.stop) return Status::Aborted("ProvenanceService is shutting down");
-    if (!w.status.ok()) return w.status;
-  }
-  w.queue.emplace_back(profile, event);
-  ++w.enqueued;
-  w.max_depth = std::max<uint64_t>(w.max_depth, w.queue.size());
-  w.work_cv.notify_one();
-  return Status::Ok();
+  return shards_[ShardOf(profile)]->Enqueue({profile, event}).status();
 }
 
 Status ProvenanceService::Flush(const std::string& profile) {
   if (!ValidProfileId(profile)) return InvalidProfileId();
-  Worker& w = *workers_[ShardOf(profile)];
-  util::MutexLock lock(w.mu);
-  // Worker-level barrier: everything enqueued on this shard before the
+  // Shard-level barrier: everything enqueued on this shard before the
   // call — a superset of the profile's own events, which is what makes
-  // it a read-your-writes barrier for the profile. `committed` advances
-  // even past a failed batch (the failure goes to `status` instead), so
-  // this wait cannot hang on an error.
-  const uint64_t target = w.enqueued;
-  while (w.committed < target && !w.stop) {
-    w.ack_cv.wait(lock.native());
-  }
-  if (!w.status.ok()) return w.status;
-  if (w.committed < target) {
-    // Shutdown cut the wait short: these events were never handed to
-    // storage, so an Ok here would be a false durability claim.
-    return Status::Aborted("ProvenanceService is shutting down");
-  }
-  return Status::Ok();
+  // it a read-your-writes barrier for the profile. A failure latched
+  // after the last acknowledgement (a victim's close) still reports.
+  Shard& shard = *shards_[ShardOf(profile)];
+  BP_RETURN_IF_ERROR(shard.Drain());
+  return shard.status();
 }
 
 Status ProvenanceService::Drain() {
   Status first;
-  for (auto& worker : workers_) {
-    Worker& w = *worker;
-    util::MutexLock lock(w.mu);
-    const uint64_t target = w.enqueued;
-    while (w.committed < target && !w.stop) {
-      w.ack_cv.wait(lock.native());
-    }
-    Status result = !w.status.ok() ? w.status
-                    : w.committed < target
-                        ? Status::Aborted("ProvenanceService is shutting down")
-                        : Status::Ok();
+  for (auto& shard : shards_) {
+    Status result = shard->Drain();
+    if (result.ok()) result = shard->status();
     if (!result.ok() && first.ok()) first = result;
   }
   return first;
@@ -315,49 +278,20 @@ ServiceStats ProvenanceService::Stats() {
     out.reopens = reopens_;
     out.evictions = evictions_;
   }
-  for (auto& worker : workers_) {
-    Worker& w = *worker;
-    util::MutexLock lock(w.mu);
-    out.queue_depths.push_back(w.queue.size());
-    out.enqueued += w.enqueued;
-    out.committed += w.committed;
-    out.rejected += w.rejected;
-    out.blocked_enqueues += w.blocked_enqueues;
-    out.max_queue_depth = std::max(out.max_queue_depth, w.max_depth);
+  for (auto& shard : shards_) {
+    const capture::PipelineStats p = shard->stats();
+    out.queue_depths.push_back(p.queue_depth);
+    out.enqueued += p.enqueued;
+    out.committed += p.committed;
+    out.rejected += p.rejected;
+    out.blocked_enqueues += p.blocked_enqueues;
+    out.max_queue_depth = std::max(out.max_queue_depth, p.max_queue_depth);
   }
   return out;
 }
 
-void ProvenanceService::WorkerLoop(Worker& worker) {
-  for (;;) {
-    std::vector<std::pair<std::string, capture::BrowserEvent>> batch;
-    {
-      util::MutexLock lock(worker.mu);
-      while (worker.queue.empty() && !worker.stop) {
-        worker.work_cv.wait(lock.native());
-      }
-      if (worker.queue.empty() && worker.stop) return;
-      batch.assign(std::make_move_iterator(worker.queue.begin()),
-                   std::make_move_iterator(worker.queue.end()));
-      worker.queue.clear();
-    }
-    const uint64_t n = batch.size();
-    Status status = CommitBatch(std::move(batch));
-    {
-      util::MutexLock lock(worker.mu);
-      // Advance the watermark even on failure (Flush returns the sticky
-      // status; it must not hang), and keep only the FIRST failure —
-      // later batches may partially succeed but the shard is poisoned.
-      worker.committed += n;
-      if (!status.ok() && worker.status.ok()) worker.status = status;
-      worker.space_cv.notify_all();
-      worker.ack_cv.notify_all();
-    }
-  }
-}
-
 Status ProvenanceService::CommitBatch(
-    std::vector<std::pair<std::string, capture::BrowserEvent>>&& batch) {
+    std::vector<capture::ProfileEvent>&& batch) {
   // Group by profile in FIRST-APPEARANCE order — not map order — so
   // commit order follows enqueue order and a run's handle-cache churn
   // is deterministic for a deterministic enqueue sequence.
@@ -442,7 +376,7 @@ Result<ProvenanceService::Entry*> ProvenanceService::AcquireHandle(
   ++live_handles_;
   LinkFront(lru_, entry);
   // Our pin spares the new handle; victims' close failures go to their
-  // own shards (RecordShardError), never to this acquisition — an
+  // own shards (CloseVictims), never to this acquisition — an
   // unrelated profile's trouble must not fail this profile's commit.
   std::vector<Entry*> victims = PickVictimsLocked();
   lock.Unlock();
@@ -487,21 +421,17 @@ void ProvenanceService::CloseVictims(const std::vector<Entry*>& victims) {
     // and dumps call this service's collector. The entry stays in the
     // map so a later acquisition reopens (and is counted as a reopen).
     Status status = victim->db->Close();
-    if (!status.ok()) RecordShardError(victim->profile, status);
     util::MutexLock lock(mu_);
+    // The victim's shard, not the acquirer's, owns this failure (Fail
+    // also wakes its blocked producers). Under mu_, so the destructor
+    // cannot free that shard in between.
+    if (!status.ok() && !stopping_) {
+      shards_[ShardOf(victim->profile)]->Fail(status);
+    }
     victim->db.reset();
     victim->busy = false;
     handle_cv_.notify_all();
   }
-}
-
-void ProvenanceService::RecordShardError(const std::string& profile,
-                                         const Status& status) {
-  Worker& w = *workers_[ShardOf(profile)];
-  util::MutexLock lock(w.mu);
-  if (w.status.ok()) w.status = status;
-  // Wake kBlock waiters (their wait loop exits on a sticky error).
-  w.space_cv.notify_all();
 }
 
 }  // namespace bp::service

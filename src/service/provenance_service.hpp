@@ -9,9 +9,10 @@
 //        │                                          │
 //        │                 stable hash(profile) % N │
 //        ▼                                          ▼
-//   [worker 0]   [worker 1]   ...   [worker N-1]     (one thread each,
-//    bounded      bounded            bounded          owns ingest and
-//    queue        queue              queue            commit for its
+//   [shard 0]    [shard 1]    ...   [shard N-1]      (one IngestPipeline
+//    pipeline     pipeline           pipeline         of (profile, event)
+//        │            │                  │            each: its committer
+//        │            │                  │            thread commits the
 //        │            │                  │            shard's profiles)
 //        └────────────┴──────────────────┘
 //                     │ open-on-demand, pinned while in use
@@ -27,41 +28,54 @@
 //        one shared BufferPool byte budget
 //
 // Shard router. A profile's id hashes (FNV-1a, stable across runs and
-// platforms) onto one of N workers; every event for that profile is
-// committed by that worker's thread, so per-profile event order is
-// preserved and a profile's database never sees two writers. Profile
-// databases are therefore opened with the async pipeline DISABLED —
-// the shard worker IS the committer; N workers replace what would
-// otherwise be one committer thread per open database.
+// platforms) onto one of N shards; every event for that profile is
+// committed by that shard's committer thread, so per-profile event
+// order is preserved and a profile's database never sees two writers.
+// Each shard is a capture::IngestPipeline<ProfileEvent>: its committer
+// pops up to queue_capacity events at once, groups them by profile in
+// first-appearance order and commits each group through the profile's
+// pinned handle (ProvenanceDb::IngestAll). Profile databases are
+// therefore opened with their own async pipeline DISABLED — N shard
+// committers replace what would otherwise be one committer thread per
+// open database.
 //
 // Handle cache. Handles open on demand and live in an intrusive LRU
 // capped at max_live_handles. Eviction takes the coldest UNPINNED
 // handle and closes it cleanly through ProvenanceDb::Close() — drain,
 // checkpoint, release of its frames in the shared buffer pool — so a
 // reopened profile recovers everything committed. A handle is pinned
-// (like a buffer-pool frame) while a worker commits into it and for
+// (like a buffer-pool frame) while a shard commits into it and for
 // the whole lifetime of a WithSnapshot view; pinned handles are
 // spared, which makes the cap soft: when live readers pin more than
 // max_live_handles, the cache grows past the cap rather than failing.
 //
-// Backpressure. Each worker's queue is bounded (queue_capacity);
-// kBlock parks the capture thread until the worker catches up
-// (lossless), kReject returns BudgetExhausted immediately — the
-// service-level saturation signal. A worker's commit failure is
-// sticky, exactly like the single-db ingest pipeline: acknowledged
-// events are unaffected, later Ingest/Flush on that shard return the
-// error.
+// Backpressure and failures are the pipeline's. Each shard's queue is
+// bounded (queue_capacity); kBlock parks the capture thread until the
+// shard catches up (lossless), kReject returns BudgetExhausted
+// immediately — the service-level saturation signal. A shard's first
+// failure (a handle that will not open, a commit, or the close of one
+// of its profiles' handles, whichever shard evicted it — see
+// CloseVictims) is sticky: events queued behind it are dropped,
+// acknowledged events are unaffected, and later Ingest/Flush on that
+// shard return the error.
+//
+// Acknowledgement. A shard acknowledges each batch when it commits, so
+// Flush is a commit barrier (read-your-writes) and never waits for an
+// fsync. Durability comes from each profile database's own
+// group-commit window (db.db.wal_group_commit) and from the checkpoint
+// its Close runs on eviction and at shutdown.
 //
 // Memory. Every profile database shares ONE BufferPool (one global
 // byte budget) via DbOptions::buffer_pool injection; the service
 // creates the pool when the caller did not supply one.
 //
-// Lock order: a worker's mu and the registry mu_ are never held
-// together (pop queue → release → acquire handle → release → commit
-// unlocked), so the two layers cannot deadlock. The registry mu_ is
-// also never held across ProvenanceDb::Open or Close — both take the
-// metrics registry's collector lock (under which dumps call this
-// service's collector, which takes mu_) and both do disk I/O. An
+// Lock order: registry mu_ before a shard pipeline's lock, never the
+// reverse. CloseVictims calls Shard::Fail under mu_; a pipeline never
+// calls out while holding its own lock (its committer runs CommitBatch
+// with it released), so the two layers cannot deadlock. The registry
+// mu_ is also never held across ProvenanceDb::Open or Close — both
+// take the metrics registry's collector lock (under which dumps call
+// this service's collector, which takes mu_) and both do disk I/O. An
 // entry whose database is mid-open or mid-close is marked busy and
 // later acquirers wait on a CV instead; eviction picks its victims
 // under mu_ but closes them unlocked.
@@ -80,13 +94,10 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "capture/events.hpp"
@@ -104,18 +115,19 @@ class Histogram;
 namespace bp::service {
 
 struct ServiceOptions {
-  // Shard workers: each owns a thread committing its shard's profiles.
+  // Shards: each owns a committer thread for its shard's profiles.
   size_t workers = 2;
   // Live-handle cap for the LRU cache (soft while handles are pinned).
   size_t max_live_handles = 8;
-  // Events each worker's queue buffers before backpressure applies.
+  // Events each shard's queue buffers before backpressure applies; also
+  // the most events a shard commits in one pass.
   size_t queue_capacity = 4096;
   // Full-queue policy: kBlock parks the capture thread (lossless);
   // kReject returns BudgetExhausted without blocking.
   capture::BackpressurePolicy backpressure =
       capture::BackpressurePolicy::kBlock;
   // Template for every profile database the service opens. The service
-  // overrides async.enabled (always false — the shard worker is the
+  // overrides async.enabled (always false — the shard is the
   // committer) and db.buffer_pool (shared across all profiles; created
   // from db.db.pool_bytes, which must then be > 0, when left null).
   // Everything else — env, group commit, ingest_batch — applies per
@@ -132,9 +144,9 @@ struct ServiceStats {
   uint64_t opens = 0;           // databases opened (first opens + reopens)
   uint64_t reopens = 0;         // opens of a previously evicted profile
   uint64_t evictions = 0;       // handles closed by LRU pressure
-  // Ingest.
-  uint64_t enqueued = 0;        // events accepted into worker queues
-  uint64_t committed = 0;       // events handed to storage by workers
+  // Ingest, summed over the shards' PipelineStats.
+  uint64_t enqueued = 0;        // events accepted into shard queues
+  uint64_t committed = 0;       // events in batches that committed
   uint64_t rejected = 0;        // kReject refusals (BudgetExhausted)
   uint64_t blocked_enqueues = 0;  // kBlock waits on a full queue
   // Per-shard queue depth right now, indexed by shard; and the deepest
@@ -149,18 +161,18 @@ class ProvenanceService {
   // `<root>/p.db`. Rejects unusable options (InvalidArgument on empty
   // root, workers == 0, max_live_handles == 0, or queue_capacity == 0)
   // and anything ProvenanceDb::Open would reject in the per-profile
-  // template. Worker threads start immediately.
+  // template. Shard committer threads start immediately.
   static util::Result<std::unique_ptr<ProvenanceService>> Create(
       const std::string& root, ServiceOptions options = {});
 
-  // Drains every worker, closes every handle, unregisters metrics.
+  // Drains every shard, closes every handle, unregisters metrics.
   // Like ProvenanceDb, destruction must not race other calls.
   ~ProvenanceService();
   ProvenanceService(const ProvenanceService&) = delete;
   ProvenanceService& operator=(const ProvenanceService&) = delete;
 
-  // Routes `event` to `profile`'s shard worker and returns once it is
-  // queued (not committed — Flush is the barrier). InvalidArgument on
+  // Routes `event` to `profile`'s shard and returns once it is queued
+  // (not committed — Flush is the barrier). InvalidArgument on
   // an invalid profile id (see ValidProfileId); BudgetExhausted when
   // the shard's queue is full under kReject; the shard's sticky error
   // after a commit or open failure. Any thread may call this
@@ -168,12 +180,11 @@ class ProvenanceService {
   util::Status Ingest(const std::string& profile,
                       const capture::BrowserEvent& event);
 
-  // Blocks until everything enqueued for `profile`'s SHARD before this
-  // call has been handed to storage (the barrier is per worker, which
-  // is what makes it a read-your-writes barrier for the profile).
-  // Returns the shard's sticky error, if any; Aborted when shutdown
-  // cut the wait short with events still queued (they never reached
-  // storage).
+  // Blocks until everything enqueued on `profile`'s SHARD before this
+  // call has committed (the barrier is per shard, a superset of the
+  // profile's own events, which is what makes it a read-your-writes
+  // barrier for the profile). A commit barrier, not an fsync: see
+  // "Acknowledgement" above. Returns the shard's sticky error, if any.
   util::Status Flush(const std::string& profile);
   // Flush over every shard.
   util::Status Drain();
@@ -192,8 +203,8 @@ class ProvenanceService {
   // Aggregate counters; safe from any thread, takes each lock briefly.
   ServiceStats Stats();
 
-  size_t workers() const { return workers_.size(); }
-  // The shard worker `profile` routes to (stable across runs).
+  size_t workers() const { return shards_.size(); }
+  // The shard `profile` routes to (stable across runs).
   size_t ShardOf(const std::string& profile) const;
   // The shared pool behind every profile database.
   const std::shared_ptr<storage::BufferPool>& buffer_pool() const {
@@ -203,9 +214,9 @@ class ProvenanceService {
  private:
   // One cached profile database. Entries are map-owned (stable
   // addresses); the intrusive LRU links thread through OPEN entries
-  // only. All fields are guarded by the registry mu_ — spelled with an
-  // AssertHeld in the helpers rather than BP_GUARDED_BY because the
-  // guarding mutex lives in the enclosing service, not the entry.
+  // only. All fields are guarded by the registry mu_ — not spelled
+  // BP_GUARDED_BY because the guarding mutex lives in the enclosing
+  // service, not the entry.
   struct Entry {
     std::string profile;
     std::unique_ptr<prov::ProvenanceDb> db;  // null = not open
@@ -220,34 +231,16 @@ class ProvenanceService {
     Entry* next = nullptr;
   };
 
-  // One shard: a bounded queue and the thread that drains it.
-  struct Worker {
-    util::Mutex mu;
-    std::condition_variable work_cv;   // queue went non-empty / stop
-    std::condition_variable space_cv;  // queue has room again / stop
-    std::condition_variable ack_cv;    // committed advanced
-    std::deque<std::pair<std::string, capture::BrowserEvent>> queue
-        BP_GUARDED_BY(mu);
-    uint64_t enqueued BP_GUARDED_BY(mu) = 0;
-    uint64_t committed BP_GUARDED_BY(mu) = 0;
-    uint64_t rejected BP_GUARDED_BY(mu) = 0;
-    uint64_t blocked_enqueues BP_GUARDED_BY(mu) = 0;
-    uint64_t max_depth BP_GUARDED_BY(mu) = 0;
-    util::Status status BP_GUARDED_BY(mu);  // sticky first failure
-    bool stop BP_GUARDED_BY(mu) = false;
-    std::thread thread;  // set once at Create, joined at destruction
-  };
+  // One shard: a pipeline whose committer runs CommitBatch.
+  using Shard = capture::IngestPipeline<capture::ProfileEvent>;
 
   ProvenanceService() = default;
 
-  // Shard worker main loop: pop everything pending, group by profile
-  // (first-appearance order, so commit order follows enqueue order),
-  // commit group by group through pinned handles.
-  void WorkerLoop(Worker& worker);
-  // Commits one batch; called by WorkerLoop with no lock held.
-  // Returns the first failure (handle open or IngestAll).
-  util::Status CommitBatch(
-      std::vector<std::pair<std::string, capture::BrowserEvent>>&& batch);
+  // A shard's commit callback: groups the batch by profile in
+  // FIRST-APPEARANCE order (so commit order follows enqueue order) and
+  // commits group by group through pinned handles. Returns the first
+  // failure (handle open or IngestAll).
+  util::Status CommitBatch(std::vector<capture::ProfileEvent>&& batch);
 
   // Intrusive LRU surgery over registry entries; mirrors the buffer
   // pool's list. Callers hold mu_ (which guards the sentinel and every
@@ -271,14 +264,10 @@ class ProvenanceService {
   std::vector<Entry*> PickVictimsLocked() BP_REQUIRES(mu_);
   // Closes picked victims with NO service lock held (Close removes
   // metrics collectors — see the lock-order note above). A Close
-  // error becomes the victim profile's shard sticky status; the
-  // victim's data is committed up to the failure and the next reopen
-  // re-arms the checkpoint.
+  // error then goes, under mu_, to the victim profile's shard
+  // (Shard::Fail) as its sticky status; the victim's data is committed
+  // up to the failure and the next reopen re-arms the checkpoint.
   void CloseVictims(const std::vector<Entry*>& victims) BP_EXCLUDES(mu_);
-  // Records `status` as the sticky error of `profile`'s shard (first
-  // failure wins). Caller must not hold that worker's mu.
-  void RecordShardError(const std::string& profile,
-                        const util::Status& status) BP_EXCLUDES(mu_);
 
   // Profile ids become filenames (<root>/<id>.db) and metric label
   // values: reject empty ids, path separators, '..', double quotes,
@@ -306,9 +295,13 @@ class ProvenanceService {
   uint64_t opens_ BP_GUARDED_BY(mu_) = 0;
   uint64_t reopens_ BP_GUARDED_BY(mu_) = 0;
   uint64_t evictions_ BP_GUARDED_BY(mu_) = 0;
+  // Set by the destructor before it stops any shard: from then on a
+  // victim's close failure is not routed to its shard, which may
+  // already be gone (teardown swallows close errors anyway).
+  bool stopping_ BP_GUARDED_BY(mu_) = false;
 
-  // ---- shard workers -------------------------------------------------
-  std::vector<std::unique_ptr<Worker>> workers_;
+  // ---- shards --------------------------------------------------------
+  std::vector<std::unique_ptr<Shard>> shards_;
 
   // ---- observability -------------------------------------------------
   // Enqueue latency (includes kBlock waits), recorded by Ingest.

@@ -342,8 +342,13 @@ Status Pager::Checkpoint() {
         "Checkpoint with live snapshots: they pin WAL frames; release "
         "them first (automatic checkpoints retry at the next commit)");
   }
-  // Timed from here: the deferred-checkpoint early-outs above would
-  // otherwise flood the histogram with near-zero samples.
+  // No frames since the log's last reset: nothing to fold, so no
+  // re-read, truncate, header rewrite or count. (ProvenanceDb::Close
+  // folds the log and ~Pager then asks again.) A failed fsync always
+  // leaves frames behind, so its sticky error still surfaces below.
+  if (wal_->SizeBytes() == wal::kWalFileHeaderBytes) return Status::Ok();
+  // Timed from here: the early-outs above would otherwise flood the
+  // histogram with near-zero samples.
   obs::ScopedTimerUs timer(checkpoint_latency_us_);
   obs::ScopedSpan span("pager.checkpoint");
   // Held across sync + fold + reset: the log must not be fsynced from

@@ -334,7 +334,8 @@ class Pager {
   // Forces a checkpoint now (normally driven by wal_checkpoint_bytes and
   // clean close). FailedPrecondition when a transaction is open or live
   // snapshots still pin WAL frames; the sticky sync error after a
-  // failed log fsync (see SyncWal).
+  // failed log fsync (see SyncWal). A log with no frames since its last
+  // reset is left alone: Ok, nothing written, no checkpoint counted.
   util::Status Checkpoint() BP_EXCLUDES(commit_mu_, wal_mu_);
 
   // Holds threshold checkpoints off while alive: a commit inside the
@@ -615,10 +616,6 @@ class AutoTxn {
     committed_ = true;
     return pager_.Commit();
   }
-
-  // True when this AutoTxn opened the transaction (so its destruction
-  // without Commit really rolls back; a nested AutoTxn never does).
-  bool owns() const { return owns_; }
 
  private:
   Pager& pager_;

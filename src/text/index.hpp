@@ -83,11 +83,6 @@ class InvertedIndex {
   DocId watermark() const { return watermark_; }
   void set_watermark(DocId watermark) { watermark_ = watermark; }
 
-  // Re-reads the persisted corpus stats and watermark, discarding the
-  // cached copies. For callers whose surrounding transaction rolled back
-  // after a Flush: the trees reverted, so the cached values must too.
-  util::Status ReloadStats() { return LoadStats(); }
-
   // BM25-ranked disjunctive (OR) search over the query tokens. Returns up
   // to `k` documents, highest score first (ties by doc id).
   util::Result<std::vector<ScoredDoc>> Search(

@@ -3,8 +3,8 @@
 //
 // Clang's thread-safety analysis needs the mutex TYPE to be declared a
 // capability, which std::mutex is not — so every mutex-protected member
-// in the codebase is a util::Mutex / RecursiveMutex / SharedMutex, and
-// every acquisition goes through the annotated RAII scoped locks below.
+// in the codebase is a util::Mutex / SharedMutex, and every acquisition
+// goes through the annotated RAII scoped locks below.
 // The wrappers are zero-cost passthroughs over their std counterparts
 // (all methods are one inlined call); what they add is that
 // -Werror=thread-safety can now prove lock discipline at compile time.
@@ -62,28 +62,6 @@ class BP_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-// Re-entrant variant: ProvenanceDb's writer mutex, which Batch holds
-// across user Ingest calls that lock it again. Note the analysis itself
-// does not model re-entrancy — each function still acquires and
-// releases exactly once in its own scope; the recursion only ever
-// happens across call boundaries the analysis does not join.
-class BP_CAPABILITY("mutex") RecursiveMutex {
- public:
-  RecursiveMutex() = default;
-  RecursiveMutex(const RecursiveMutex&) = delete;
-  RecursiveMutex& operator=(const RecursiveMutex&) = delete;
-
-  void Lock() BP_ACQUIRE() { mu_.lock(); }
-  void Unlock() BP_RELEASE() { mu_.unlock(); }
-  bool TryLock() BP_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  void AssertHeld() const BP_ASSERT_CAPABILITY(this) {}
-
-  std::recursive_mutex& native() { return mu_; }
-
- private:
-  std::recursive_mutex mu_;
-};
-
 // Reader/writer lock (MemEnv file content: page reads shared, WAL
 // appends exclusive).
 class BP_CAPABILITY("shared_mutex") SharedMutex {
@@ -126,23 +104,6 @@ class BP_SCOPED_CAPABILITY MutexLock {
 
  private:
   std::unique_lock<std::mutex> lock_;
-};
-
-// RAII exclusive lock over RecursiveMutex.
-class BP_SCOPED_CAPABILITY RecursiveMutexLock {
- public:
-  explicit RecursiveMutexLock(RecursiveMutex& mu) BP_ACQUIRE(mu)
-      : lock_(mu.native()) {}
-  ~RecursiveMutexLock() BP_RELEASE_GENERIC() {}
-
-  RecursiveMutexLock(const RecursiveMutexLock&) = delete;
-  RecursiveMutexLock& operator=(const RecursiveMutexLock&) = delete;
-
-  void Unlock() BP_RELEASE() { lock_.unlock(); }
-  void Lock() BP_ACQUIRE() { lock_.lock(); }
-
- private:
-  std::unique_lock<std::recursive_mutex> lock_;
 };
 
 // RAII exclusive (writer) lock over SharedMutex.

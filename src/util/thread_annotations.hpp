@@ -13,7 +13,7 @@
 // are free for the default toolchain.
 //
 // The annotated types these macros are meant for live in
-// util/mutex.hpp (Mutex / RecursiveMutex / SharedMutex and their RAII
+// util/mutex.hpp (Mutex / SharedMutex and their RAII
 // scoped locks); std::mutex itself cannot carry a capability attribute.
 //
 // Conventions used across the codebase:

@@ -166,7 +166,7 @@ TEST(IngestPipelineTest, FlushBehindQueuedEventsSyncsOnceAfterTheyCommit) {
   bool release = false;
   std::atomic<int> commits{0};
   std::atomic<int> syncs{0};
-  capture::IngestPipeline pipeline(
+  capture::IngestPipeline<BrowserEvent> pipeline(
       capture::PipelineOptions{},
       [&](std::vector<BrowserEvent>&&, size_t) -> util::Result<bool> {
         std::unique_lock<std::mutex> lock(mu);
@@ -186,7 +186,7 @@ TEST(IngestPipelineTest, FlushBehindQueuedEventsSyncsOnceAfterTheyCommit) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return first_open; });
   }
-  capture::IngestPipeline::Ticket last = 0;
+  capture::IngestPipeline<BrowserEvent>::Ticket last = 0;
   for (uint64_t i = 2; i <= 6; ++i) {
     auto ticket = pipeline.Enqueue(MakeVisit(i, Url(static_cast<int>(i))));
     ASSERT_TRUE(ticket.ok());
@@ -225,19 +225,44 @@ TEST(IngestPipelineTest, SynchronousIngestLeavesTheTailUnsynced) {
 
 // --------------------------------------------------------- backpressure
 
+// Subscribed to a database's bus, holds the committer inside its first
+// Publish until Open(): a stalled committer, so producers meet a full
+// queue. Declare it before the database, which must not outlive it.
+class GateSink : public capture::EventSink {
+ public:
+  util::Status OnEvent(const BrowserEvent&) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return open_; });
+    return util::Status::Ok();
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 TEST(IngestPipelineTest, RejectPolicySurfacesFullQueueWithoutBlocking) {
   storage::MemEnv env;
+  GateSink gate;
   ProvenanceDb::Options options = MemOptions(&env);
   options.async.queue_capacity = 2;
   options.async.backpressure = capture::BackpressurePolicy::kReject;
   auto db = ProvenanceDb::Open("async.db", options);
   ASSERT_TRUE(db.ok());
+  (*db)->bus().Subscribe(&gate);
 
   std::vector<int> accepted;
   bool rejected = false;
   {
-    // Stall the committer: the Batch holds the writer lock it needs.
-    ProvenanceDb::Batch batch(**db);
+    // Stall the committer: the gate holds it inside its first batch.
     // The pipeline can absorb at most one in-flight batch plus a full
     // queue; with capacity 2 a reject MUST appear within a handful of
     // enqueues, and the capture thread never blocks.
@@ -251,7 +276,7 @@ TEST(IngestPipelineTest, RejectPolicySurfacesFullQueueWithoutBlocking) {
         rejected = true;
       }
     }
-    ASSERT_TRUE(batch.Commit().ok());
+    gate.Open();
   }
   EXPECT_TRUE(rejected);
   EXPECT_GE((*db)->pipeline_stats().rejected, 1u);
@@ -265,15 +290,16 @@ TEST(IngestPipelineTest, RejectPolicySurfacesFullQueueWithoutBlocking) {
 
 TEST(IngestPipelineTest, BlockPolicyIsLosslessUnderAFullQueue) {
   storage::MemEnv env;
+  GateSink gate;
   ProvenanceDb::Options options = MemOptions(&env);
   options.async.queue_capacity = 2;  // default kBlock
   auto db = ProvenanceDb::Open("async.db", options);
   ASSERT_TRUE(db.ok());
+  (*db)->bus().Subscribe(&gate);  // stall the committer
 
   constexpr int kEvents = 8;
   std::thread producer;
   {
-    ProvenanceDb::Batch batch(**db);  // stall the committer
     producer = std::thread([&] {
       for (int i = 1; i <= kEvents; ++i) {
         auto ticket = (*db)->IngestAsync(MakeVisit(i, Url(i)));
@@ -282,8 +308,14 @@ TEST(IngestPipelineTest, BlockPolicyIsLosslessUnderAFullQueue) {
     });
     // 8 events cannot fit in one in-flight batch + a 2-slot queue, so
     // the producer is guaranteed to hit the blocking path while the
-    // batch pins the committer; releasing the batch lets it finish.
-    ASSERT_TRUE(batch.Commit().ok());
+    // gate pins the committer. Wait (bounded) until it has, then open
+    // the gate to let it finish.
+    for (int waited_ms = 0; waited_ms < 10000 &&
+                            (*db)->pipeline_stats().blocked_enqueues == 0;
+         ++waited_ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    gate.Open();
   }
   producer.join();
   ASSERT_TRUE((*db)->Drain().ok());

@@ -8,8 +8,10 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <variant>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "places/places.hpp"
 #include "prov/provenance_db.hpp"
 #include "sim/scenario.hpp"
@@ -19,6 +21,20 @@
 
 namespace bp::prov {
 namespace {
+
+// Fails the one event whose visit URL is http://poison.example/ (once
+// subscribed to a database's bus), so an IngestAll chunk holding it
+// fails after the events before it were already applied.
+class PoisonSink : public capture::EventSink {
+ public:
+  util::Status OnEvent(const capture::BrowserEvent& event) override {
+    const auto* visit = std::get_if<capture::VisitEvent>(&event);
+    if (visit != nullptr && visit->url == "http://poison.example/") {
+      return util::Status::IoError("poison event");
+    }
+    return util::Status::Ok();
+  }
+};
 
 class ProvenanceDbTest : public ::testing::Test {
  protected:
@@ -52,6 +68,7 @@ class ProvenanceDbTest : public ::testing::Test {
   }
 
   storage::MemEnv env_;
+  PoisonSink poison_;  // outlives db_, whose bus may hold it
   std::unique_ptr<ProvenanceDb> db_;
 };
 
@@ -110,23 +127,20 @@ TEST_F(ProvenanceDbTest, DescendantDownloadsAndTimeContext) {
   EXPECT_GT(personalized->stats.rows_scanned, 0u);
 }
 
-TEST_F(ProvenanceDbTest, BatchRollsBackWithoutCommit) {
+TEST_F(ProvenanceDbTest, IngestAllChunkRollsBackOnASinkFailure) {
   sim::ScenarioBuilder s;
   s.Visit(1, "http://a.example/", "A", capture::NavigationAction::kTyped);
-  {
-    ProvenanceDb::Batch batch(*db_);
-    ASSERT_TRUE(db_->Ingest(s.events()[0]).ok());
-    // No Commit: destruction rolls the batch back.
-  }
+  s.Visit(1, "http://poison.example/", "P",
+          capture::NavigationAction::kTyped);
+  db_->bus().Subscribe(&poison_);
+  // One chunk: the poison event fails it after a.example was applied,
+  // so the whole chunk rolls back.
+  EXPECT_EQ(db_->IngestAll(s.events()).code(), util::StatusCode::kIoError);
   EXPECT_TRUE(db_->store().PageForUrl("http://a.example/")
                   .status()
                   .IsNotFound());
 
-  {
-    ProvenanceDb::Batch batch(*db_);
-    ASSERT_TRUE(db_->Ingest(s.events()[0]).ok());
-    ASSERT_TRUE(batch.Commit().ok());
-  }
+  ASSERT_TRUE(db_->IngestAll({s.events()[0]}).ok());
   EXPECT_TRUE(db_->store().PageForUrl("http://a.example/").ok());
 }
 
@@ -225,47 +239,33 @@ TEST_F(ProvenanceDbTest, SyncAndCheckpointThroughTheFacade) {
   EXPECT_TRUE(db_->Checkpoint().ok());
 }
 
-TEST_F(ProvenanceDbTest, MidBatchOneShotQueriesReadTheirOwnWrites) {
-  // Inside an open Batch a snapshot would exclude the batch's own
-  // (uncommitted) events, so one-shot queries stay on the live
-  // serialized path there and see them.
-  sim::ScenarioBuilder s;
-  s.Visit(1, "http://fresh.example/", "zanzibar fresh page",
-          capture::NavigationAction::kTyped);
-  {
-    ProvenanceDb::Batch batch(*db_);
-    ASSERT_TRUE(db_->Ingest(s.events()[0]).ok());
-    auto hits = db_->Search("zanzibar");
-    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
-    EXPECT_FALSE(hits->pages.empty())
-        << "mid-batch query must read the batch's own writes";
-    // An explicit snapshot, by contrast, cannot honor its contract
-    // mid-batch and refuses.
-    EXPECT_EQ(db_->BeginSnapshot().status().code(),
-              util::StatusCode::kFailedPrecondition);
-    ASSERT_TRUE(batch.Commit().ok());
-  }
-  // After the batch, the (now snapshot-backed) one-shot path agrees.
-  auto hits = db_->Search("zanzibar");
-  ASSERT_TRUE(hits.ok());
-  EXPECT_FALSE(hits->pages.empty());
+TEST_F(ProvenanceDbTest, CloseCountsExactlyOneCheckpoint) {
+  IngestRosebudSession();
+  const obs::Histogram* checkpoint_us =
+      obs::MetricsRegistry::Global().GetHistogram("bp_pager_checkpoint_us",
+                                                  "", "");
+  const uint64_t before = checkpoint_us->count();
+  // Close folds the log; the pager's own close then finds it empty and
+  // leaves it alone, but still removes it.
+  ASSERT_TRUE(db_->Close().ok());
+  EXPECT_EQ(checkpoint_us->count() - before, 1u);
+  EXPECT_FALSE(env_.Exists("facade.db.wal"));
 }
 
-TEST_F(ProvenanceDbTest, RolledBackBatchDoesNotPoisonTheTextIndex) {
-  // A mid-batch query indexes the batch's (uncommitted) pages; if the
-  // batch then rolls back, the searcher must rewind its watermark —
-  // otherwise later pages reusing those node ids are never indexed.
-  sim::ScenarioBuilder s;
+TEST_F(ProvenanceDbTest, RolledBackChunkDoesNotPoisonTheTextIndex) {
+  // A failed chunk's node ids are reused by the next pages ingested; the
+  // searcher's watermark must not have moved past them — otherwise
+  // those pages are never indexed.
+  IngestRosebudSession();
+  ASSERT_TRUE(db_->Search("rosebud").ok());  // index is now current
+  sim::ScenarioBuilder s(util::Days(2), 2000000);
   s.Visit(1, "http://q.example/", "quokka habitat facts",
           capture::NavigationAction::kTyped);
-  {
-    ProvenanceDb::Batch batch(*db_);
-    ASSERT_TRUE(db_->Ingest(s.events()[0]).ok());
-    auto mid = db_->Search("quokka");
-    ASSERT_TRUE(mid.ok());
-    EXPECT_FALSE(mid->pages.empty());
-    // No Commit: everything rolls back.
-  }
+  s.Visit(1, "http://poison.example/", "P",
+          capture::NavigationAction::kTyped);
+  db_->bus().Subscribe(&poison_);
+  // Everything rolls back.
+  EXPECT_EQ(db_->IngestAll(s.events()).code(), util::StatusCode::kIoError);
   auto gone = db_->Search("quokka");
   ASSERT_TRUE(gone.ok());
   EXPECT_TRUE(gone->pages.empty());

@@ -1,13 +1,17 @@
 // ProvenanceService: shard routing and per-profile isolation, the LRU
 // handle cache (open-on-demand, eviction through clean Close, reopen
 // sees everything, pins beat eviction), per-shard backpressure (block
-// and reject), read-your-writes flushes, snapshot isolation, and the
-// exported bp_service metrics. The concurrent stress cases double as
-// the TSan workload.
+// and reject), read-your-writes flushes, snapshot isolation, failure
+// isolation (a profile whose open, commit or close fails poisons only
+// its own shard), and the exported bp_service metrics. The concurrent
+// stress cases double as the TSan workload.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -488,6 +492,154 @@ TEST_F(ServiceTest, MetricsDumpsConcurrentWithHandleChurn) {
   EXPECT_EQ(stats.committed, static_cast<uint64_t>(kEvents));
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.live_handles, 1u);
+}
+
+// Passes every call through to a MemEnv, except that once a prefix is
+// poisoned, files whose name starts with it fail to open, write and
+// sync: the device under one profile's database has gone away.
+class PoisonableEnv : public storage::Env {
+ public:
+  void Poison(std::string prefix) {
+    std::lock_guard<std::mutex> lock(mu_);
+    poisoned_ = std::move(prefix);
+  }
+  bool Poisoned(const std::string& name) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return !poisoned_.empty() && name.rfind(poisoned_, 0) == 0;
+  }
+
+  util::Result<std::unique_ptr<storage::File>> Open(
+      const std::string& name) override {
+    if (Poisoned(name)) return util::Status::IoError("injected open: " + name);
+    BP_ASSIGN_OR_RETURN(std::unique_ptr<storage::File> file, mem_.Open(name));
+    return std::unique_ptr<storage::File>(
+        std::make_unique<PoisonableFile>(std::move(file), this, name));
+  }
+  util::Status Remove(const std::string& name) override {
+    return mem_.Remove(name);
+  }
+  bool Exists(const std::string& name) const override {
+    return mem_.Exists(name);
+  }
+
+ private:
+  class PoisonableFile : public storage::File {
+   public:
+    PoisonableFile(std::unique_ptr<storage::File> inner,
+                   const PoisonableEnv* env, std::string name)
+        : inner_(std::move(inner)), env_(env), name_(std::move(name)) {}
+    util::Status Read(uint64_t offset, size_t n,
+                      std::string* out) const override {
+      return inner_->Read(offset, n, out);
+    }
+    util::Status Write(uint64_t offset, std::string_view data) override {
+      if (env_->Poisoned(name_)) {
+        return util::Status::IoError("injected write: " + name_);
+      }
+      return inner_->Write(offset, data);
+    }
+    util::Status Sync() override {
+      if (env_->Poisoned(name_)) {
+        return util::Status::IoError("injected fsync: " + name_);
+      }
+      return inner_->Sync();
+    }
+    util::Status Truncate(uint64_t size) override {
+      return inner_->Truncate(size);
+    }
+    util::Result<uint64_t> Size() const override { return inner_->Size(); }
+
+   private:
+    std::unique_ptr<storage::File> inner_;
+    const PoisonableEnv* env_;
+    std::string name_;
+  };
+
+  storage::MemEnv mem_;
+  mutable std::mutex mu_;
+  std::string poisoned_;
+};
+
+// A profile id that `svc` routes to a different shard than `profile`.
+std::string OnAnotherShard(ProvenanceService& svc, const std::string& profile) {
+  for (int i = 0;; ++i) {
+    std::string other = "peer" + std::to_string(i);
+    if (svc.ShardOf(other) != svc.ShardOf(profile)) return other;
+  }
+}
+
+// A profile whose database cannot be opened, or whose commit fails,
+// poisons only its own shard: that profile's Ingest and Flush report
+// the error, while a profile on the other shard keeps ingesting and
+// flushing.
+TEST(ServiceFailureTest, FailedOpenOrCommitPoisonsOnlyItsOwnShard) {
+  for (const bool fail_open : {true, false}) {
+    SCOPED_TRACE(fail_open ? "open fails" : "commit fails");
+    PoisonableEnv env;
+    ServiceOptions options;
+    options.workers = 2;
+    options.db.db.env = &env;
+    auto svc = ProvenanceService::Create("/p", options);
+    ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+    const std::string bad = "bad";
+    const std::string good = OnAnotherShard(**svc, bad);
+
+    if (!fail_open) {
+      // The handle opens and commits once before its device goes away.
+      ASSERT_TRUE((*svc)->Ingest(bad, MakeVisit(bad, 0)).ok());
+      ASSERT_TRUE((*svc)->Flush(bad).ok());
+    }
+    env.Poison("/p/" + bad + ".db");
+    ASSERT_TRUE((*svc)->Ingest(bad, MakeVisit(bad, 1)).ok());
+    EXPECT_EQ((*svc)->Flush(bad).code(), util::StatusCode::kIoError);
+    EXPECT_EQ((*svc)->Ingest(bad, MakeVisit(bad, 2)).code(),
+              util::StatusCode::kIoError);
+    EXPECT_EQ((*svc)->Flush(bad).code(), util::StatusCode::kIoError);
+
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*svc)->Ingest(good, MakeVisit(good, i)).ok());
+      ASSERT_TRUE((*svc)->Flush(good).ok());
+    }
+    bool found = false;
+    ASSERT_TRUE((*svc)
+                    ->WithSnapshot(good,
+                                   [&](prov::ProvenanceDb::SnapshotView& view) {
+                                     found = view.store()
+                                                 .PageForUrl(UrlOf(good, 2))
+                                                 .ok();
+                                     return util::Status::Ok();
+                                   })
+                    .ok());
+    EXPECT_TRUE(found);
+  }
+}
+
+// An eviction's Close failure belongs to the victim: it latches on the
+// victim's shard, and the profile whose commit evicted it keeps going.
+TEST(ServiceFailureTest, VictimCloseFailureLatchesOnTheVictimsShard) {
+  PoisonableEnv env;
+  ServiceOptions options;
+  options.workers = 2;
+  options.max_live_handles = 1;  // opening a second profile evicts
+  options.db.db.env = &env;
+  auto svc = ProvenanceService::Create("/p", options);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  const std::string victim = "victim";
+  const std::string evictor = OnAnotherShard(**svc, victim);
+
+  ASSERT_TRUE((*svc)->Ingest(victim, MakeVisit(victim, 0)).ok());
+  ASSERT_TRUE((*svc)->Flush(victim).ok());
+  // The victim's close must sync its log and fold it: both now fail.
+  env.Poison("/p/" + victim + ".db");
+  ASSERT_TRUE((*svc)->Ingest(evictor, MakeVisit(evictor, 0)).ok());
+  ASSERT_TRUE((*svc)->Flush(evictor).ok());
+  EXPECT_GE((*svc)->Stats().evictions, 1u);
+
+  EXPECT_EQ((*svc)->Ingest(victim, MakeVisit(victim, 1)).code(),
+            util::StatusCode::kIoError);
+  EXPECT_EQ((*svc)->Flush(victim).code(), util::StatusCode::kIoError);
+  ASSERT_TRUE((*svc)->Ingest(evictor, MakeVisit(evictor, 1)).ok());
+  ASSERT_TRUE((*svc)->Flush(evictor).ok());
 }
 
 TEST_F(ServiceTest, ExportsServiceMetrics) {

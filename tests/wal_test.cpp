@@ -404,6 +404,27 @@ TEST(PagerWalTest, DeferredCheckpointFoldsAtTheNextCommitOutsideTheScope) {
   }
 }
 
+TEST(PagerWalTest, CheckpointOfAnEmptyLogWritesAndCountsNothing) {
+  MemEnv env;
+  auto pager = Pager::Open("db", WalPagerOptions(&env));
+  ASSERT_TRUE(pager.ok());
+  ASSERT_TRUE((*pager)->Begin().ok());
+  auto id = (*pager)->Allocate();
+  ASSERT_TRUE(id.ok());
+  (*(*pager)->GetMutable(*id)).mutable_data()[0] = 'x';
+  ASSERT_TRUE((*pager)->Commit().ok());
+  ASSERT_TRUE((*pager)->Checkpoint().ok());
+  const uint64_t checkpoints = (*pager)->stats().checkpoints;
+
+  // The fold above left the log with no frames: a second checkpoint
+  // neither truncates nor rewrites it, and does not count.
+  env.StartOpLog();
+  ASSERT_TRUE((*pager)->Checkpoint().ok());
+  EXPECT_TRUE(env.StopOpLog().empty());
+  EXPECT_EQ((*pager)->stats().checkpoints, checkpoints);
+  EXPECT_EQ((*(*pager)->Get(*id)).data()[0], 'x');
+}
+
 TEST(PagerWalTest, EvictedPageIsReadBackFromLog) {
   MemEnv env;
   PagerOptions opts = WalPagerOptions(&env);
