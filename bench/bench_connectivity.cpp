@@ -52,37 +52,37 @@ int main(int argc, char** argv) {
 
     // --- Places ---
     SchemaStats places;
-    MustOk(fx->places->ForEachVisit(
-               [&](uint64_t, const places::VisitRow& row) {
-                 ++places.visits;
-                 if (row.from_visit == 0) ++places.orphans;
-                 return true;
-               }),
-           "places scan");
+    auto visits = fx->places->Visits();
+    for (; visits.Valid(); visits.Next()) {
+      places::VisitRow row = MustOk(visits.row(), "places scan");
+      ++places.visits;
+      if (row.from_visit == 0) ++places.orphans;
+    }
+    MustOk(visits.status(), "places scan");
     // Lineage by from_visit walk: succeed when we reach a place with >= 5
     // visits before the chain dead-ends.
-    MustOk(fx->places->ForEachDownload(
-               [&](uint64_t, const places::DownloadRow& row) {
-                 if (places.lineage_attempts >= 40) return false;
-                 ++places.lineage_attempts;
-                 // Find the latest visit of the source place and walk.
-                 if (row.place_id == 0) return true;
-                 auto visits = fx->places->VisitsForPlace(row.place_id);
-                 if (!visits.ok() || visits->empty()) return true;
-                 uint64_t visit_id = visits->back();
-                 for (int hop = 0; hop < 64 && visit_id != 0; ++hop) {
-                   auto visit = fx->places->GetVisit(visit_id);
-                   if (!visit.ok()) break;
-                   auto place = fx->places->GetPlace(visit->place_id);
-                   if (place.ok() && place->visit_count >= 5) {
-                     ++places.lineage_success;
-                     return true;
-                   }
-                   visit_id = visit->from_visit;  // 0 stops the walk
-                 }
-                 return true;
-               }),
-           "places lineage");
+    auto downloads = fx->places->Downloads();
+    for (; downloads.Valid() && places.lineage_attempts < 40;
+         downloads.Next()) {
+      places::DownloadRow row = MustOk(downloads.row(), "places lineage");
+      ++places.lineage_attempts;
+      // Find the latest visit of the source place and walk.
+      if (row.place_id == 0) continue;
+      auto visit_ids = fx->places->VisitsForPlace(row.place_id);
+      if (!visit_ids.ok() || visit_ids->empty()) continue;
+      uint64_t visit_id = visit_ids->back();
+      for (int hop = 0; hop < 64 && visit_id != 0; ++hop) {
+        auto visit = fx->places->GetVisit(visit_id);
+        if (!visit.ok()) break;
+        auto place = fx->places->GetPlace(visit->place_id);
+        if (place.ok() && place->visit_count >= 5) {
+          ++places.lineage_success;
+          break;
+        }
+        visit_id = visit->from_visit;  // 0 stops the walk
+      }
+    }
+    MustOk(downloads.status(), "places lineage");
 
     // --- Provenance --- (cursor read path; attrs never decoded)
     SchemaStats prov_stats;

@@ -157,72 +157,6 @@ int main(int argc, char** argv) {
            static_cast<double>(result.stats.edges_expanded));
   }
 
-  // ---- Cursor read path vs the deprecated callback wrappers.
-  //
-  // Same physical work (walk every adjacency of every node, both
-  // directions); the callback path pays a type-erased call and a full
-  // Edge materialization (AttrMap decode + per-attr allocations) per
-  // edge, the cursor path decodes lazily and only touches the varint
-  // prefix. The tentpole acceptance: cursors at parity or faster.
-  {
-    Blank();
-    Row("edge iteration: cursor (lazy decode) vs callback (materialize)");
-    const uint64_t node_count = *fx->prov->NodeCount();
-    const int kRounds = 3;
-    uint64_t edges_callback = 0, edges_cursor = 0;
-    uint64_t kind_sum_callback = 0, kind_sum_cursor = 0;
-
-    util::Stopwatch callback_watch;
-    for (int round = 0; round < kRounds; ++round) {
-      for (graph::NodeId node = 1; node <= node_count; ++node) {
-        for (auto dir : {graph::Direction::kOut, graph::Direction::kIn}) {
-          MustOk(fx->prov->graph().ForEachEdge(
-                     node, dir,
-                     [&](const graph::Edge& edge) {
-                       ++edges_callback;
-                       kind_sum_callback += edge.kind;
-                       return true;
-                     }),
-                 "callback iteration");
-        }
-      }
-    }
-    const double callback_ms = callback_watch.ElapsedMs();
-
-    util::Stopwatch cursor_watch;
-    for (int round = 0; round < kRounds; ++round) {
-      for (graph::NodeId node = 1; node <= node_count; ++node) {
-        for (auto dir : {graph::Direction::kOut, graph::Direction::kIn}) {
-          graph::EdgeCursor cur = fx->prov->graph().Edges(node, dir);
-          for (; cur.Valid(); cur.Next()) {
-            ++edges_cursor;
-            kind_sum_cursor += cur.edge().kind();
-          }
-          MustOk(cur.status(), "cursor iteration");
-        }
-      }
-    }
-    const double cursor_ms = cursor_watch.ElapsedMs();
-    BP_CHECK(edges_cursor == edges_callback &&
-                 kind_sum_cursor == kind_sum_callback,
-             "cursor and callback paths disagree");
-
-    const double callback_eps =
-        callback_ms > 0 ? 1000.0 * edges_callback / callback_ms : 0;
-    const double cursor_eps =
-        cursor_ms > 0 ? 1000.0 * edges_cursor / cursor_ms : 0;
-    Row("  callback: %10llu edges in %8.1f ms  (%12.0f edges/s)",
-        (unsigned long long)edges_callback, callback_ms, callback_eps);
-    Row("  cursor:   %10llu edges in %8.1f ms  (%12.0f edges/s)",
-        (unsigned long long)edges_cursor, cursor_ms, cursor_eps);
-    Row("  speedup: %.2fx (acceptance: >= 1.0x, lazy decode should win)",
-        callback_ms > 0 && cursor_ms > 0 ? callback_ms / cursor_ms : 0.0);
-    Metric("edge_iter_callback_edges_per_sec", callback_eps);
-    Metric("edge_iter_cursor_edges_per_sec", cursor_eps);
-    Metric("edge_iter_cursor_speedup",
-           cursor_ms > 0 ? callback_ms / cursor_ms : 0.0);
-  }
-
   // ---- Shared buffer pool: repeated one-shot queries, cold open.
   //
   // Every one-shot facade query opens a fresh snapshot, and every

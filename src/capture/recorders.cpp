@@ -138,6 +138,24 @@ Status PlacesRecorder::OnVisit(const VisitEvent& event) {
 
 // ---------------------------------------------------- ProvenanceRecorder
 
+ProvenanceRecorder::Txn::~Txn() {
+  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+    if (it->previous == 0) {
+      it->map->erase(it->stream_id);
+    } else {
+      (*it->map)[it->stream_id] = it->previous;
+    }
+  }
+  recorder_.txn_ = nullptr;
+}
+
+void ProvenanceRecorder::Map(StreamMap& map, uint64_t stream_id,
+                             prov::NodeId node) {
+  prov::NodeId& entry = map[stream_id];  // 0 when new
+  if (txn_ != nullptr) txn_->undo_.push_back(Undo{&map, stream_id, entry});
+  entry = node;
+}
+
 Status ProvenanceRecorder::OnEvent(const BrowserEvent& event) {
   struct Visitor {
     ProvenanceRecorder& self;
@@ -153,7 +171,7 @@ Status ProvenanceRecorder::OnEvent(const BrowserEvent& event) {
       if (it != self.visit_map_.end()) from = it->second;
       BP_ASSIGN_OR_RETURN(prov::NodeId issue,
                           self.store_.RecordSearch(e.query, from, e.time));
-      self.search_map_[e.search_id] = issue;
+      self.Map(self.search_map_, e.search_id, issue);
       return Status::Ok();
     }
     Status operator()(const BookmarkAddEvent& e) const {
@@ -163,7 +181,7 @@ Status ProvenanceRecorder::OnEvent(const BrowserEvent& event) {
       BP_ASSIGN_OR_RETURN(
           prov::NodeId bookmark,
           self.store_.RecordBookmarkAdd(e.title, from, e.time));
-      self.bookmark_map_[e.bookmark_id] = bookmark;
+      self.Map(self.bookmark_map_, e.bookmark_id, bookmark);
       return Status::Ok();
     }
     Status operator()(const DownloadEvent& e) const {
@@ -173,7 +191,7 @@ Status ProvenanceRecorder::OnEvent(const BrowserEvent& event) {
       BP_ASSIGN_OR_RETURN(
           prov::NodeId download,
           self.store_.RecordDownload(e.url, e.target_path, from, e.time));
-      self.download_map_[e.download_id] = download;
+      self.Map(self.download_map_, e.download_id, download);
       return Status::Ok();
     }
     Status operator()(const FormSubmitEvent& e) const {
@@ -183,7 +201,7 @@ Status ProvenanceRecorder::OnEvent(const BrowserEvent& event) {
       BP_ASSIGN_OR_RETURN(
           prov::NodeId form,
           self.store_.RecordFormSubmit(e.field_summary, from, e.time));
-      self.form_map_[e.form_id] = form;
+      self.Map(self.form_map_, e.form_id, form);
       return Status::Ok();
     }
   };
@@ -201,7 +219,7 @@ Status ProvenanceRecorder::OnVisit(const VisitEvent& event) {
       store_.RecordVisit(event.url, event.title, ToEdgeKind(event.action),
                          referrer, event.time,
                          static_cast<int64_t>(event.tab)));
-  visit_map_[event.visit_id] = view;
+  Map(visit_map_, event.visit_id, view);
 
   // Non-link causes get their dedicated lineage edges.
   if (event.action == NavigationAction::kSearchResult &&

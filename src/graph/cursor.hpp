@@ -1,14 +1,10 @@
 // Cursor-based read path for the property graph.
 //
-// Every graph query used to thread std::function callbacks from
-// BTree::ForEach up through GraphStore::ForEachEdge, paying a
-// type-erased call plus a full row decode (AttrMap included) per edge
-// and smuggling early-exit and errors through captured state. Cursors
-// invert that: the caller pulls, early exit is `break`, errors surface
-// once via status(), and decode is lazy — EdgeRef/NodeRef expose
-// src/dst/kind (resp. kind) straight from the varint prefix of the
-// encoded row and only materialize the AttrMap on demand, which is the
-// win on high-degree nodes whose traversals filter on kind alone.
+// The caller pulls: early exit is `break`, errors surface once via
+// status(), and decode is lazy — EdgeRef/NodeRef expose src/dst/kind
+// (resp. kind) straight from the varint prefix of the encoded row and
+// only materialize the AttrMap on demand, which is the win on
+// high-degree nodes whose traversals filter on kind alone.
 //
 // Work accounting: every cursor bumps a QueryStats (shared by all the
 // use-case queries) so each query result reports how much of the store
@@ -61,10 +57,10 @@ struct QueryStats {
   uint64_t edges_expanded = 0;  // edges considered by traversal logic
   uint64_t nodes_visited = 0;   // nodes popped/visited by traversals
   uint64_t budget_used = 0;     // QueryBudget units charged
-  // Page-level cost under snapshot reads: images served from the shared
-  // buffer pool vs. fetched from the log/database file. Zero on the live
-  // (mid-batch) path, where pages go through the writer cache instead
-  // (PagerStats).
+  // Page-level cost of a ProvenanceDb::SnapshotView query: images served
+  // from the shared buffer pool vs. fetched from the log/database file.
+  // Zero for a query over live trees, whose pages go through the writer
+  // cache instead (PagerStats).
   uint64_t pool_hits = 0;
   uint64_t pages_fetched = 0;   // pool misses: log/database file reads
 

@@ -187,37 +187,6 @@ Result<uint64_t> GraphStore::Degree(NodeId node, Direction dir) const {
   return tree->CountRange(lo, hi);
 }
 
-Status GraphStore::ForEachEdge(
-    NodeId node, Direction dir,
-    const std::function<bool(const Edge&)>& fn) const {
-  EdgeCursor cur = Edges(node, dir);
-  for (; cur.Valid(); cur.Next()) {
-    BP_ASSIGN_OR_RETURN(Edge edge, cur.edge().Materialize());
-    if (!fn(edge)) break;
-  }
-  return cur.status();
-}
-
-Status GraphStore::ForEachNode(
-    const std::function<bool(const Node&)>& fn) const {
-  NodeCursor cur = Nodes();
-  for (; cur.Valid(); cur.Next()) {
-    BP_ASSIGN_OR_RETURN(Node node, cur.node().Materialize());
-    if (!fn(node)) break;
-  }
-  return cur.status();
-}
-
-Status GraphStore::ForEachEdge(
-    const std::function<bool(const Edge&)>& fn) const {
-  EdgeCursor cur = Edges();
-  for (; cur.Valid(); cur.Next()) {
-    BP_ASSIGN_OR_RETURN(Edge edge, cur.edge().Materialize());
-    if (!fn(edge)) break;
-  }
-  return cur.status();
-}
-
 Result<uint64_t> GraphStore::NodeCount() const {
   Table<NodeRec> nodes(nodes_tree_);
   return nodes.Count();

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,8 +56,8 @@ class GraphStore {
 
   // ------------------------------------------------------- cursors
   //
-  // The supported read path. Cursors decode lazily (see graph/cursor.hpp)
-  // and bump `stats` (when given) with the rows they touch.
+  // The read path. Cursors decode lazily (see graph/cursor.hpp) and bump
+  // `stats` (when given) with the rows they touch.
 
   // Edges leaving (kOut) or entering (kIn) `node`, ascending edge id.
   EdgeCursor Edges(NodeId node, Direction dir,
@@ -78,16 +77,6 @@ class GraphStore {
   // Counts adjacency cells per leaf (BTree::CountRange) without decoding
   // a single edge row.
   util::Result<uint64_t> Degree(NodeId node, Direction dir) const;
-
-  // ------------------------------------------- deprecated callbacks
-  //
-  // Thin wrappers over the cursors, kept for external callers; they
-  // materialize a full Edge/Node per row, which the cursor path avoids.
-  util::Status ForEachEdge(NodeId node, Direction dir,
-                           const std::function<bool(const Edge&)>& fn) const;
-  util::Status ForEachNode(
-      const std::function<bool(const Node&)>& fn) const;
-  util::Status ForEachEdge(const std::function<bool(const Edge&)>& fn) const;
 
   util::Result<uint64_t> NodeCount() const;
   util::Result<uint64_t> EdgeCount() const;

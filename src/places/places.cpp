@@ -9,96 +9,96 @@
 
 namespace bp::storage {
 
-template <>
-struct RowCodec<places::PlaceRow> {
-  static void Encode(const places::PlaceRow& row, util::Writer& w) {
-    w.PutString(row.url);
-    w.PutString(row.title);
-    w.PutSignedVarint64(row.visit_count);
-    w.PutU8(static_cast<uint8_t>((row.typed ? 1 : 0) |
-                                 (row.hidden ? 2 : 0)));
-    w.PutSignedVarint64(row.last_visit);
-  }
-  static util::Result<places::PlaceRow> Decode(util::Reader& r) {
-    places::PlaceRow row;
-    row.url = std::string(r.ReadString());
-    row.title = std::string(r.ReadString());
-    row.visit_count = r.ReadSignedVarint64();
-    uint8_t flags = r.ReadU8();
-    row.typed = (flags & 1) != 0;
-    row.hidden = (flags & 2) != 0;
-    row.last_visit = r.ReadSignedVarint64();
-    return row;
-  }
-};
+void RowCodec<places::PlaceRow>::Encode(const places::PlaceRow& row,
+                                        util::Writer& w) {
+  w.PutString(row.url);
+  w.PutString(row.title);
+  w.PutSignedVarint64(row.visit_count);
+  w.PutU8(static_cast<uint8_t>((row.typed ? 1 : 0) |
+                               (row.hidden ? 2 : 0)));
+  w.PutSignedVarint64(row.last_visit);
+}
 
-template <>
-struct RowCodec<places::VisitRow> {
-  static void Encode(const places::VisitRow& row, util::Writer& w) {
-    w.PutVarint64(row.place_id);
-    w.PutVarint64(row.from_visit);
-    w.PutSignedVarint64(row.date);
-    w.PutU8(static_cast<uint8_t>(row.type));
-  }
-  static util::Result<places::VisitRow> Decode(util::Reader& r) {
-    places::VisitRow row;
-    row.place_id = r.ReadVarint64();
-    row.from_visit = r.ReadVarint64();
-    row.date = r.ReadSignedVarint64();
-    row.type = static_cast<places::VisitType>(r.ReadU8());
-    return row;
-  }
-};
+util::Result<places::PlaceRow> RowCodec<places::PlaceRow>::Decode(
+    util::Reader& r) {
+  places::PlaceRow row;
+  row.url = std::string(r.ReadString());
+  row.title = std::string(r.ReadString());
+  row.visit_count = r.ReadSignedVarint64();
+  uint8_t flags = r.ReadU8();
+  row.typed = (flags & 1) != 0;
+  row.hidden = (flags & 2) != 0;
+  row.last_visit = r.ReadSignedVarint64();
+  return row;
+}
 
-template <>
-struct RowCodec<places::BookmarkRow> {
-  static void Encode(const places::BookmarkRow& row, util::Writer& w) {
-    w.PutVarint64(row.place_id);
-    w.PutString(row.title);
-    w.PutSignedVarint64(row.added);
-  }
-  static util::Result<places::BookmarkRow> Decode(util::Reader& r) {
-    places::BookmarkRow row;
-    row.place_id = r.ReadVarint64();
-    row.title = std::string(r.ReadString());
-    row.added = r.ReadSignedVarint64();
-    return row;
-  }
-};
+void RowCodec<places::VisitRow>::Encode(const places::VisitRow& row,
+                                        util::Writer& w) {
+  w.PutVarint64(row.place_id);
+  w.PutVarint64(row.from_visit);
+  w.PutSignedVarint64(row.date);
+  w.PutU8(static_cast<uint8_t>(row.type));
+}
 
-template <>
-struct RowCodec<places::InputRow> {
-  static void Encode(const places::InputRow& row, util::Writer& w) {
-    w.PutString(row.input);
-    w.PutSignedVarint64(row.use_count);
-    w.PutSignedVarint64(row.last_used);
-  }
-  static util::Result<places::InputRow> Decode(util::Reader& r) {
-    places::InputRow row;
-    row.input = std::string(r.ReadString());
-    row.use_count = r.ReadSignedVarint64();
-    row.last_used = r.ReadSignedVarint64();
-    return row;
-  }
-};
+util::Result<places::VisitRow> RowCodec<places::VisitRow>::Decode(
+    util::Reader& r) {
+  places::VisitRow row;
+  row.place_id = r.ReadVarint64();
+  row.from_visit = r.ReadVarint64();
+  row.date = r.ReadSignedVarint64();
+  row.type = static_cast<places::VisitType>(r.ReadU8());
+  return row;
+}
 
-template <>
-struct RowCodec<places::DownloadRow> {
-  static void Encode(const places::DownloadRow& row, util::Writer& w) {
-    w.PutString(row.source_url);
-    w.PutString(row.target_path);
-    w.PutVarint64(row.place_id);
-    w.PutSignedVarint64(row.start);
-  }
-  static util::Result<places::DownloadRow> Decode(util::Reader& r) {
-    places::DownloadRow row;
-    row.source_url = std::string(r.ReadString());
-    row.target_path = std::string(r.ReadString());
-    row.place_id = r.ReadVarint64();
-    row.start = r.ReadSignedVarint64();
-    return row;
-  }
-};
+void RowCodec<places::BookmarkRow>::Encode(const places::BookmarkRow& row,
+                                           util::Writer& w) {
+  w.PutVarint64(row.place_id);
+  w.PutString(row.title);
+  w.PutSignedVarint64(row.added);
+}
+
+util::Result<places::BookmarkRow> RowCodec<places::BookmarkRow>::Decode(
+    util::Reader& r) {
+  places::BookmarkRow row;
+  row.place_id = r.ReadVarint64();
+  row.title = std::string(r.ReadString());
+  row.added = r.ReadSignedVarint64();
+  return row;
+}
+
+void RowCodec<places::InputRow>::Encode(const places::InputRow& row,
+                                        util::Writer& w) {
+  w.PutString(row.input);
+  w.PutSignedVarint64(row.use_count);
+  w.PutSignedVarint64(row.last_used);
+}
+
+util::Result<places::InputRow> RowCodec<places::InputRow>::Decode(
+    util::Reader& r) {
+  places::InputRow row;
+  row.input = std::string(r.ReadString());
+  row.use_count = r.ReadSignedVarint64();
+  row.last_used = r.ReadSignedVarint64();
+  return row;
+}
+
+void RowCodec<places::DownloadRow>::Encode(const places::DownloadRow& row,
+                                           util::Writer& w) {
+  w.PutString(row.source_url);
+  w.PutString(row.target_path);
+  w.PutVarint64(row.place_id);
+  w.PutSignedVarint64(row.start);
+}
+
+util::Result<places::DownloadRow> RowCodec<places::DownloadRow>::Decode(
+    util::Reader& r) {
+  places::DownloadRow row;
+  row.source_url = std::string(r.ReadString());
+  row.target_path = std::string(r.ReadString());
+  row.place_id = r.ReadVarint64();
+  row.start = r.ReadSignedVarint64();
+  return row;
+}
 
 }  // namespace bp::storage
 
@@ -215,21 +215,16 @@ Status PlacesStore::AddInput(std::string_view input, TimeMs used) {
   // moz_inputhistory keys on the input string; model it the same way by
   // scanning for an existing row (input history stays small in practice).
   Table<InputRow> inputs(input_tree_);
-  uint64_t found_id = 0;
-  InputRow found;
-  BP_RETURN_IF_ERROR(inputs.ForEach([&](uint64_t id, const InputRow& row) {
+  Table<InputRow>::Cursor cur = inputs.Scan();
+  for (; cur.Valid(); cur.Next()) {
+    BP_ASSIGN_OR_RETURN(InputRow row, cur.row());
     if (row.input == input) {
-      found_id = id;
-      found = row;
-      return false;
+      ++row.use_count;
+      row.last_used = std::max(row.last_used, used);
+      return inputs.Put(cur.id(), row);
     }
-    return true;
-  }));
-  if (found_id != 0) {
-    ++found.use_count;
-    found.last_used = std::max(found.last_used, used);
-    return inputs.Put(found_id, found);
   }
+  BP_RETURN_IF_ERROR(cur.status());
   return inputs.Insert(InputRow{std::string(input), 1, used}).status();
 }
 
@@ -250,12 +245,7 @@ Result<uint64_t> PlacesStore::AddDownload(std::string_view source_url,
 }
 
 Result<uint64_t> PlacesStore::PlaceIdForUrl(std::string_view url) const {
-  Index url_index(url_index_tree_);
-  uint64_t found = 0;
-  BP_RETURN_IF_ERROR(url_index.ForEachEqual(url, [&](uint64_t id) {
-    found = id;
-    return false;
-  }));
+  BP_ASSIGN_OR_RETURN(uint64_t found, Index(url_index_tree_).FirstEqual(url));
   if (found == 0) return Status::NotFound("no place for url");
   return found;
 }
@@ -273,44 +263,34 @@ Result<VisitRow> PlacesStore::GetVisit(uint64_t visit_id) const {
 Result<std::vector<uint64_t>> PlacesStore::VisitsForPlace(
     uint64_t place_id) const {
   std::vector<uint64_t> out;
-  std::string lo = util::OrderedKeyU64Pair(place_id, 0);
-  std::string hi = util::OrderedKeyU64Pair(place_id + 1, 0);
-  BP_RETURN_IF_ERROR(visits_by_place_tree_->ForEachRange(
-      lo, hi, [&](std::string_view key, std::string_view) {
-        out.push_back(util::DecodeOrderedKeyU64(key.substr(8)));
-        return true;
-      }));
+  storage::BTree::Cursor cur = visits_by_place_tree_->NewCursor();
+  for (cur.SeekRange(util::OrderedKeyU64Pair(place_id, 0),
+                     util::OrderedKeyU64Pair(place_id + 1, 0));
+       cur.Valid(); cur.Next()) {
+    out.push_back(util::DecodeOrderedKeyU64(cur.key().substr(8)));
+  }
+  BP_RETURN_IF_ERROR(cur.status());
   return out;
 }
 
-Status PlacesStore::ForEachPlace(
-    const std::function<bool(uint64_t, const PlaceRow&)>& fn) const {
-  Table<PlaceRow> places(places_tree_);
-  return places.ForEach(fn);
+Table<PlaceRow>::Cursor PlacesStore::Places() const {
+  return Table<PlaceRow>(places_tree_).Scan();
 }
 
-Status PlacesStore::ForEachVisit(
-    const std::function<bool(uint64_t, const VisitRow&)>& fn) const {
-  Table<VisitRow> visits(visits_tree_);
-  return visits.ForEach(fn);
+Table<VisitRow>::Cursor PlacesStore::Visits() const {
+  return Table<VisitRow>(visits_tree_).Scan();
 }
 
-Status PlacesStore::ForEachDownload(
-    const std::function<bool(uint64_t, const DownloadRow&)>& fn) const {
-  Table<DownloadRow> downloads(downloads_tree_);
-  return downloads.ForEach(fn);
+Table<BookmarkRow>::Cursor PlacesStore::Bookmarks() const {
+  return Table<BookmarkRow>(bookmarks_tree_).Scan();
 }
 
-Status PlacesStore::ForEachBookmark(
-    const std::function<bool(uint64_t, const BookmarkRow&)>& fn) const {
-  Table<BookmarkRow> bookmarks(bookmarks_tree_);
-  return bookmarks.ForEach(fn);
+Table<InputRow>::Cursor PlacesStore::Inputs() const {
+  return Table<InputRow>(input_tree_).Scan();
 }
 
-Status PlacesStore::ForEachInput(
-    const std::function<bool(uint64_t, const InputRow&)>& fn) const {
-  Table<InputRow> inputs(input_tree_);
-  return inputs.ForEach(fn);
+Table<DownloadRow>::Cursor PlacesStore::Downloads() const {
+  return Table<DownloadRow>(downloads_tree_).Scan();
 }
 
 Result<uint64_t> PlacesStore::PlaceCount() const {
@@ -382,15 +362,19 @@ Result<std::vector<PlaceMatch>> PlacesStore::AutocompleteSearch(
     needles.push_back(part);
   }
   std::vector<PlaceMatch> matches;
-  BP_RETURN_IF_ERROR(ForEachPlace([&](uint64_t id, const PlaceRow& place) {
-    if (place.hidden) return true;
+  Table<PlaceRow>::Cursor cur = Places();
+  for (; cur.Valid(); cur.Next()) {
+    BP_ASSIGN_OR_RETURN(PlaceRow place, cur.row());
+    if (place.hidden) continue;
     std::string haystack = util::ToLower(place.url + " " + place.title);
-    for (const std::string& needle : needles) {
-      if (haystack.find(needle) == std::string::npos) return true;
+    if (std::all_of(needles.begin(), needles.end(),
+                    [&](const std::string& needle) {
+                      return haystack.find(needle) != std::string::npos;
+                    })) {
+      matches.push_back(PlaceMatch{cur.id(), std::move(place), 0.0});
     }
-    matches.push_back(PlaceMatch{id, place, 0.0});
-    return true;
-  }));
+  }
+  BP_RETURN_IF_ERROR(cur.status());
   for (PlaceMatch& match : matches) {
     auto frecency = Frecency(match.place_id, now);
     BP_RETURN_IF_ERROR(frecency.status());

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -93,6 +92,42 @@ struct PlaceMatch {
   double frecency = 0.0;
 };
 
+}  // namespace bp::places
+
+namespace bp::storage {
+
+// Row codecs of the Places tables, declared here so that
+// Table<Row>::Cursor::row() decodes outside places.cpp (defined there).
+template <>
+struct RowCodec<places::PlaceRow> {
+  static void Encode(const places::PlaceRow& row, util::Writer& w);
+  static util::Result<places::PlaceRow> Decode(util::Reader& r);
+};
+template <>
+struct RowCodec<places::VisitRow> {
+  static void Encode(const places::VisitRow& row, util::Writer& w);
+  static util::Result<places::VisitRow> Decode(util::Reader& r);
+};
+template <>
+struct RowCodec<places::BookmarkRow> {
+  static void Encode(const places::BookmarkRow& row, util::Writer& w);
+  static util::Result<places::BookmarkRow> Decode(util::Reader& r);
+};
+template <>
+struct RowCodec<places::InputRow> {
+  static void Encode(const places::InputRow& row, util::Writer& w);
+  static util::Result<places::InputRow> Decode(util::Reader& r);
+};
+template <>
+struct RowCodec<places::DownloadRow> {
+  static void Encode(const places::DownloadRow& row, util::Writer& w);
+  static util::Result<places::DownloadRow> Decode(util::Reader& r);
+};
+
+}  // namespace bp::storage
+
+namespace bp::places {
+
 class PlacesStore {
  public:
   // Opens (creating if needed) the Places tables in `db` under the
@@ -122,16 +157,12 @@ class PlacesStore {
   util::Result<VisitRow> GetVisit(uint64_t visit_id) const;
   util::Result<std::vector<uint64_t>> VisitsForPlace(uint64_t place_id) const;
 
-  util::Status ForEachPlace(
-      const std::function<bool(uint64_t id, const PlaceRow&)>& fn) const;
-  util::Status ForEachVisit(
-      const std::function<bool(uint64_t id, const VisitRow&)>& fn) const;
-  util::Status ForEachDownload(
-      const std::function<bool(uint64_t id, const DownloadRow&)>& fn) const;
-  util::Status ForEachBookmark(
-      const std::function<bool(uint64_t id, const BookmarkRow&)>& fn) const;
-  util::Status ForEachInput(
-      const std::function<bool(uint64_t id, const InputRow&)>& fn) const;
+  // Cursors over each table, ascending row id; row() decodes the row.
+  storage::Table<PlaceRow>::Cursor Places() const;
+  storage::Table<VisitRow>::Cursor Visits() const;
+  storage::Table<BookmarkRow>::Cursor Bookmarks() const;
+  storage::Table<InputRow>::Cursor Inputs() const;
+  storage::Table<DownloadRow>::Cursor Downloads() const;
 
   util::Result<uint64_t> PlaceCount() const;
   util::Result<uint64_t> VisitCount() const;

@@ -254,6 +254,9 @@ Status ProvenanceDb::IngestAll(
 Status ProvenanceDb::IngestChunkLocked(
     std::span<const capture::BrowserEvent> events) {
   ProvStore::IngestBatch batch(*store_);
+  // The recorder's stream-id maps follow the transaction: unless kept
+  // below, ~Txn drops the entries this chunk made.
+  capture::ProvenanceRecorder::Txn maps(*recorder_);
   for (const capture::BrowserEvent& event : events) {
     // On failure ~IngestBatch rolls the whole transaction back: a
     // mid-chunk sink failure never leaves a half-applied group behind.
@@ -267,7 +270,11 @@ Status ProvenanceDb::IngestChunkLocked(
     // leaves the transaction open; roll it back so the pager stays
     // usable.
     (void)db_->pager().Rollback();
+    return committed;
   }
+  // The commit frame is in the log, so the chunk's nodes exist even if
+  // the fsync or checkpoint after it failed.
+  maps.Commit();
   return committed;
 }
 

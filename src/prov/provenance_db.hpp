@@ -343,7 +343,8 @@ class ProvenanceDb {
   storage::Db& db() { return *db_; }
   ProvStore& store() { return *store_; }
   search::HistorySearcher& searcher() { return *searcher_; }
-  // Stream-id -> node mappings for events ingested through this facade.
+  // Stream-id -> node mappings for events ingested through this facade
+  // (a chunk that rolls back leaves them as they were).
   const capture::ProvenanceRecorder& recorder() const { return *recorder_; }
   // Subscribe additional sinks; they see exactly the ingested stream.
   capture::EventBus& bus() { return bus_; }
@@ -358,9 +359,9 @@ class ProvenanceDb {
   // Re-indexes pages added since the last text-backed query.
   util::Status RefreshIndex() BP_REQUIRES(mu_);
   // Publishes `events` as ONE storage transaction. On a sink or commit
-  // failure the whole chunk rolls back: the writer lock is held from
-  // the first publish to the commit, so no query can have indexed the
-  // doomed pages.
+  // failure the whole chunk rolls back, the recorder's stream-id entries
+  // with it: the writer lock is held from the first publish to the
+  // commit, so no query can have indexed the doomed pages.
   util::Status IngestChunkLocked(std::span<const capture::BrowserEvent> events)
       BP_REQUIRES(mu_);
 

@@ -842,39 +842,6 @@ void BTree::Cursor::LoadOrAdvance() {
   }
 }
 
-// ---------------------------------------------------------------- scans
-//
-// The ForEach* family survives as thin wrappers so existing callers keep
-// working; all internal read paths sit on Cursor directly.
-
-Status BTree::ForEachRange(
-    std::string_view lo, std::string_view hi,
-    const std::function<bool(std::string_view, std::string_view)>& fn)
-    const {
-  Cursor cur = NewCursor();
-  for (cur.SeekRange(lo, hi); cur.Valid(); cur.Next()) {
-    if (!fn(cur.key(), cur.value())) break;
-  }
-  return cur.status();
-}
-
-Status BTree::ForEach(
-    const std::function<bool(std::string_view, std::string_view)>& fn)
-    const {
-  return ForEachRange({}, {}, fn);
-}
-
-Status BTree::ForEachPrefix(
-    std::string_view prefix,
-    const std::function<bool(std::string_view, std::string_view)>& fn)
-    const {
-  Cursor cur = NewCursor();
-  for (cur.SeekPrefix(prefix); cur.Valid(); cur.Next()) {
-    if (!fn(cur.key(), cur.value())) break;
-  }
-  return cur.status();
-}
-
 Result<uint64_t> BTree::CountRange(std::string_view lo,
                                    std::string_view hi) const {
   BP_ASSIGN_OR_RETURN(PageId page_id, LeafForKey(lo, nullptr));

@@ -22,8 +22,7 @@
 // counter, so steady-state iteration is a slot increment, and any
 // interleaved write downgrades the next advance to a by-key re-seek —
 // cursors survive mutation of the tree (including deletion of the entry
-// under them) instead of being invalidated. The ForEach* callbacks are
-// retained as thin wrappers over a cursor.
+// under them) instead of being invalidated.
 //
 // Snapshot reads: BoundAt(snapshot) returns a read-only handle to the
 // SAME tree (root ids are stable for a tree's lifetime) whose every
@@ -36,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -171,26 +169,6 @@ class BTree {
   // Frees every page of the tree including the root (used by DropTree).
   // The tree must not be used afterwards.
   util::Status FreeAllPages();
-
-  // Full scan in key order. `fn` returns false to stop early.
-  // DEPRECATED: thin wrapper over Cursor; new code should use NewCursor.
-  util::Status ForEach(
-      const std::function<bool(std::string_view key,
-                               std::string_view value)>& fn) const;
-
-  // Scan all entries whose key starts with `prefix`, in key order.
-  // DEPRECATED: thin wrapper over Cursor; new code should use NewCursor.
-  util::Status ForEachPrefix(
-      std::string_view prefix,
-      const std::function<bool(std::string_view key,
-                               std::string_view value)>& fn) const;
-
-  // Scan keys in [lo, hi). Empty `hi` means "to the end".
-  // DEPRECATED: thin wrapper over Cursor; new code should use NewCursor.
-  util::Status ForEachRange(
-      std::string_view lo, std::string_view hi,
-      const std::function<bool(std::string_view key,
-                               std::string_view value)>& fn) const;
 
   // Number of keys in [lo, hi) (empty `hi` = to the end). Counts whole
   // leaves by their cell count and binary-searches only the boundary

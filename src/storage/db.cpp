@@ -25,17 +25,8 @@ uint64_t SpaceReport::BytesForPrefix(std::string_view prefix) const {
 
 Result<std::unique_ptr<Db>> Db::Open(const std::string& path,
                                      DbOptions options) {
-  PagerOptions popts;
-  popts.env = options.env;
-  popts.cache_pages = options.cache_pages;
-  popts.sync = options.sync;
-  popts.wal_group_commit = options.wal_group_commit;
-  popts.wal_checkpoint_bytes = options.wal_checkpoint_bytes;
-  popts.pool_bytes = options.pool_bytes;
-  popts.buffer_pool = options.buffer_pool;
-  popts.compression = options.compression;
   BP_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager,
-                      Pager::Open(path, popts));
+                      Pager::Open(path, std::move(options)));
   std::unique_ptr<Db> db(new Db(std::move(pager)));
 
   if (db->pager_->catalog_root() == kNoPage) {
@@ -105,11 +96,9 @@ Status Db::DropTree(const std::string& name) {
 
 Result<std::vector<std::string>> Db::ListTrees() const {
   std::vector<std::string> names;
-  BP_RETURN_IF_ERROR(
-      catalog_->ForEach([&](std::string_view key, std::string_view) {
-        names.emplace_back(key);
-        return true;
-      }));
+  BTree::Cursor cur = catalog_->NewCursor();
+  for (cur.SeekFirst(); cur.Valid(); cur.Next()) names.emplace_back(cur.key());
+  BP_RETURN_IF_ERROR(cur.status());
   return names;
 }
 
@@ -122,20 +111,15 @@ Result<SpaceReport> Db::Space() const {
   BP_ASSIGN_OR_RETURN(TreeStats catalog_stats, catalog_->Stats());
   report.catalog_pages = catalog_stats.TotalPages();
 
-  // Collect (name, root) pairs first: Stats() walks pages and must not
-  // run inside the catalog scan callback while it holds page pins.
-  std::vector<std::pair<std::string, PageId>> entries;
-  BP_RETURN_IF_ERROR(
-      catalog_->ForEach([&](std::string_view key, std::string_view value) {
-        Reader r(value);
-        entries.emplace_back(std::string(key), r.ReadU32());
-        return true;
-      }));
-  for (const auto& [name, root] : entries) {
-    BTree tree(*pager_, root);
-    BP_ASSIGN_OR_RETURN(TreeStats stats, tree.Stats());
-    report.trees.push_back(SpaceEntry{name, stats});
+  // A cursor pins no page between steps, so Stats() may walk pages
+  // mid-scan.
+  BTree::Cursor cur = catalog_->NewCursor();
+  for (cur.SeekFirst(); cur.Valid(); cur.Next()) {
+    Reader r(cur.value());
+    BP_ASSIGN_OR_RETURN(TreeStats stats, BTree(*pager_, r.ReadU32()).Stats());
+    report.trees.push_back(SpaceEntry{std::string(cur.key()), stats});
   }
+  BP_RETURN_IF_ERROR(cur.status());
   return report;
 }
 

@@ -16,25 +16,8 @@
 
 namespace bp::storage {
 
-struct DbOptions {
-  Env* env = Env::Posix();
-  size_t cache_pages = 4096;
-  bool sync = true;
-  // See PagerOptions: wal_group_commit > 1 amortizes fsyncs across
-  // bursts of small transactions (batched provenance ingest).
-  uint32_t wal_group_commit = 1;
-  uint64_t wal_checkpoint_bytes = 4 << 20;
-  // Versioned buffer pool shared by the whole read path (see
-  // PagerOptions). pool_bytes must be > 0 unless buffer_pool is set;
-  // buffer_pool joins an existing pool so several databases share one
-  // byte budget.
-  size_t pool_bytes = 32 << 20;
-  std::shared_ptr<BufferPool> buffer_pool;
-  // Storage diet (see PagerOptions::compression): mode=kFast compresses
-  // eligible pages at checkpoint. Defaults from BP_COMPRESSION; unset
-  // means off.
-  compress::CompressionOptions compression;
-};
+// A Db is opened with its pager's options (see PagerOptions).
+using DbOptions = PagerOptions;
 
 struct SpaceEntry {
   std::string name;

@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 
@@ -143,27 +142,6 @@ class Table {
     return cur;
   }
 
-  // In-order scan; `fn` returns false to stop. Decode failures abort the
-  // scan with Corruption. DEPRECATED: thin wrapper over Scan().
-  util::Status ForEach(
-      const std::function<bool(uint64_t id, const Row& row)>& fn) const {
-    util::Status decode_status;
-    util::Status scan_status = tree_->ForEach(
-        [&](std::string_view key, std::string_view value) {
-          uint64_t id = util::DecodeOrderedKeyU64(key);
-          if (id == 0) return true;  // allocator cell
-          util::Reader r(value);
-          auto row = RowCodec<Row>::Decode(r);
-          if (!row.ok()) {
-            decode_status = row.status();
-            return false;
-          }
-          return fn(id, *row);
-        });
-    BP_RETURN_IF_ERROR(scan_status);
-    return decode_status;
-  }
-
   util::Result<uint64_t> Count() const {
     BP_ASSIGN_OR_RETURN(uint64_t n, tree_->Count());
     // Exclude the allocator cell when present.
@@ -204,35 +182,6 @@ class Index {
     if (!cur.Valid()) return uint64_t{0};
     return util::DecodeOrderedKeyU64(
         cur.key().substr(cur.key().size() - 8));
-  }
-
-  // Row ids for exactly `key`, ascending.
-  util::Status ForEachEqual(
-      std::string_view key,
-      const std::function<bool(uint64_t row_id)>& fn) const {
-    std::string prefix(key);
-    prefix.push_back('\0');
-    return tree_->ForEachPrefix(
-        prefix, [&](std::string_view entry, std::string_view) {
-          return fn(util::DecodeOrderedKeyU64(
-              entry.substr(entry.size() - 8)));
-        });
-  }
-
-  // All (key, row id) pairs whose key starts with `key_prefix`,
-  // ascending by key then id.
-  util::Status ForEachPrefix(
-      std::string_view key_prefix,
-      const std::function<bool(std::string_view key, uint64_t row_id)>& fn)
-      const {
-    return tree_->ForEachPrefix(
-        key_prefix, [&](std::string_view entry, std::string_view) {
-          BP_CHECK(entry.size() >= 9, "malformed index entry");
-          std::string_view key = entry.substr(0, entry.size() - 9);
-          uint64_t id =
-              util::DecodeOrderedKeyU64(entry.substr(entry.size() - 8));
-          return fn(key, id);
-        });
   }
 
   util::Result<bool> Contains(std::string_view key, uint64_t row_id) const {

@@ -65,8 +65,10 @@ class WalWriter {
   // Appends the buffered page frames and a commit frame. No fsync.
   util::Status CommitTxn(uint64_t commit_seq, uint32_t page_count);
 
-  // Drops buffered frames without writing (transaction rolled back
-  // between AddPage and CommitTxn — cannot happen today, defensive).
+  // Drops the buffered frames and restores the checksum chain and LSN
+  // counter to the last committed frame. The pager calls it when
+  // CommitTxn fails, so the next transaction appends after the last
+  // commit.
   void AbandonTxn();
 
   // Fsyncs the file if any bytes were committed since the last sync.

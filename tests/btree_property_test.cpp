@@ -97,16 +97,16 @@ TEST_P(BTreeFuzzTest, MatchesReferenceModel) {
   // Full-scan equivalence: same keys, same values, same order.
   auto it = model.begin();
   uint64_t scanned = 0;
-  ASSERT_TRUE(tree.ForEach([&](std::string_view key, std::string_view value) {
-                    EXPECT_NE(it, model.end());
-                    if (it == model.end()) return false;
-                    EXPECT_EQ(key, it->first);
-                    EXPECT_EQ(value, it->second);
-                    ++it;
-                    ++scanned;
-                    return true;
-                  })
-                  .ok());
+  BTree::Cursor cur = tree.NewCursor();
+  for (cur.SeekFirst(); cur.Valid(); cur.Next()) {
+    EXPECT_NE(it, model.end());
+    if (it == model.end()) break;
+    EXPECT_EQ(cur.key(), it->first);
+    EXPECT_EQ(cur.value(), it->second);
+    ++it;
+    ++scanned;
+  }
+  ASSERT_TRUE(cur.status().ok());
   EXPECT_EQ(it, model.end());
   EXPECT_EQ(scanned, model.size());
   EXPECT_EQ(*tree.Count(), model.size());
@@ -224,16 +224,15 @@ TEST_P(CrashRecoveryTest, RecoversToLastCommittedState) {
   ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
   BTree recovered(**reopened_or, root);
   auto it = committed.begin();
-  ASSERT_TRUE(recovered
-                  .ForEach([&](std::string_view key, std::string_view value) {
-                    EXPECT_NE(it, committed.end());
-                    if (it == committed.end()) return false;
-                    EXPECT_EQ(key, it->first);
-                    EXPECT_EQ(value, it->second);
-                    ++it;
-                    return true;
-                  })
-                  .ok());
+  BTree::Cursor cur = recovered.NewCursor();
+  for (cur.SeekFirst(); cur.Valid(); cur.Next()) {
+    EXPECT_NE(it, committed.end());
+    if (it == committed.end()) break;
+    EXPECT_EQ(cur.key(), it->first);
+    EXPECT_EQ(cur.value(), it->second);
+    ++it;
+  }
+  ASSERT_TRUE(cur.status().ok());
   EXPECT_EQ(it, committed.end());
 }
 

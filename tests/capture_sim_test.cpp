@@ -168,13 +168,9 @@ TEST_F(RecorderTest, LinkReferrerKeptByBothSchemas) {
   // Provenance too.
   auto node = prov_recorder_->visit_map().at(v2);
   uint64_t in_edges = 0;
-  ASSERT_TRUE(prov_->graph()
-                  .ForEachEdge(node, graph::Direction::kIn,
-                               [&](const graph::Edge&) {
-                                 ++in_edges;
-                                 return true;
-                               })
-                  .ok());
+  graph::EdgeCursor in = prov_->graph().Edges(node, graph::Direction::kIn);
+  for (; in.Valid(); in.Next()) ++in_edges;
+  ASSERT_TRUE(in.status().ok());
   EXPECT_GE(in_edges, 1u);
 }
 
@@ -193,17 +189,13 @@ TEST_F(RecorderTest, TypedReferrerDroppedByPlacesKeptByProvenance) {
   // Provenance keeps a kTyped edge.
   auto node = prov_recorder_->visit_map().at(v2);
   bool typed_edge = false;
-  ASSERT_TRUE(
-      prov_->graph()
-          .ForEachEdge(node, graph::Direction::kIn,
-                       [&](const graph::Edge& edge) {
-                         if (edge.kind ==
-                             static_cast<uint32_t>(prov::EdgeKind::kTyped)) {
-                           typed_edge = true;
-                         }
-                         return true;
-                       })
-          .ok());
+  graph::EdgeCursor in = prov_->graph().Edges(node, graph::Direction::kIn);
+  for (; in.Valid(); in.Next()) {
+    if (in.edge().kind() == static_cast<uint32_t>(prov::EdgeKind::kTyped)) {
+      typed_edge = true;
+    }
+  }
+  ASSERT_TRUE(in.status().ok());
   EXPECT_TRUE(typed_edge);
 }
 
@@ -220,13 +212,14 @@ TEST_F(RecorderTest, SearchBecomesInputRowVsLineageNodes) {
 
   // Places: just an input-history string.
   int input_rows = 0;
-  ASSERT_TRUE(places_
-                  ->ForEachInput([&](uint64_t, const places::InputRow& row) {
-                    EXPECT_EQ(row.input, "rosebud");
-                    ++input_rows;
-                    return true;
-                  })
-                  .ok());
+  auto inputs = places_->Inputs();
+  for (; inputs.Valid(); inputs.Next()) {
+    auto row = inputs.row();
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->input, "rosebud");
+    ++input_rows;
+  }
+  ASSERT_TRUE(inputs.status().ok());
   EXPECT_EQ(input_rows, 1);
 
   // Provenance: term node -> issuance -> results visit.
@@ -234,17 +227,14 @@ TEST_F(RecorderTest, SearchBecomesInputRowVsLineageNodes) {
   ASSERT_TRUE(term.ok());
   auto issue = prov_recorder_->search_map().at(search);
   bool result_edge = false;
-  ASSERT_TRUE(
-      prov_->graph()
-          .ForEachEdge(issue, graph::Direction::kOut,
-                       [&](const graph::Edge& edge) {
-                         if (edge.kind == static_cast<uint32_t>(
-                                              prov::EdgeKind::kSearchResult)) {
-                           result_edge = true;
-                         }
-                         return true;
-                       })
-          .ok());
+  graph::EdgeCursor out = prov_->graph().Edges(issue, graph::Direction::kOut);
+  for (; out.Valid(); out.Next()) {
+    if (out.edge().kind() ==
+        static_cast<uint32_t>(prov::EdgeKind::kSearchResult)) {
+      result_edge = true;
+    }
+  }
+  ASSERT_TRUE(out.status().ok());
   EXPECT_TRUE(result_edge);
 }
 
@@ -276,20 +266,16 @@ TEST_F(RecorderTest, BookmarkClickLineage) {
 
   prov::NodeId bookmark = prov_recorder_->bookmark_map().at(bm);
   bool click_edge = false;
-  ASSERT_TRUE(
-      prov_->graph()
-          .ForEachEdge(bookmark, graph::Direction::kOut,
-                       [&](const graph::Edge& edge) {
-                         if (edge.kind ==
-                             static_cast<uint32_t>(
-                                 prov::EdgeKind::kBookmarkClick)) {
-                           EXPECT_EQ(edge.dst,
-                                     prov_recorder_->visit_map().at(v2));
-                           click_edge = true;
-                         }
-                         return true;
-                       })
-          .ok());
+  graph::EdgeCursor out =
+      prov_->graph().Edges(bookmark, graph::Direction::kOut);
+  for (; out.Valid(); out.Next()) {
+    if (out.edge().kind() ==
+        static_cast<uint32_t>(prov::EdgeKind::kBookmarkClick)) {
+      EXPECT_EQ(out.edge().dst(), prov_recorder_->visit_map().at(v2));
+      click_edge = true;
+    }
+  }
+  ASSERT_TRUE(out.status().ok());
   EXPECT_TRUE(click_edge);
 }
 

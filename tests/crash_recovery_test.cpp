@@ -56,21 +56,18 @@ struct TwoTreeModel {
   }
 };
 
-TwoTreeModel ReadTrees(storage::BTree* g, storage::BTree* x) {
-  TwoTreeModel out;
-  EXPECT_TRUE(g->ForEach([&](std::string_view key, std::string_view v) {
-                   out.graph[util::DecodeOrderedKeyU64(key)] =
-                       std::string(v);
-                   return true;
-                 })
-                  .ok());
-  EXPECT_TRUE(x->ForEach([&](std::string_view key, std::string_view v) {
-                   out.text[util::DecodeOrderedKeyU64(key)] =
-                       std::string(v);
-                   return true;
-                 })
-                  .ok());
+std::map<uint64_t, std::string> ReadTree(storage::BTree* tree) {
+  std::map<uint64_t, std::string> out;
+  storage::BTree::Cursor cur = tree->NewCursor();
+  for (cur.SeekFirst(); cur.Valid(); cur.Next()) {
+    out[util::DecodeOrderedKeyU64(cur.key())] = std::string(cur.value());
+  }
+  EXPECT_TRUE(cur.status().ok());
   return out;
+}
+
+TwoTreeModel ReadTrees(storage::BTree* g, storage::BTree* x) {
+  return TwoTreeModel{ReadTree(g), ReadTree(x)};
 }
 
 struct TxnBoundary {

@@ -323,7 +323,17 @@ class GraphCursorTest : public ::testing::Test {
   std::unique_ptr<GraphStore> store_;
 };
 
-TEST_F(GraphCursorTest, EdgeCursorMatchesForEachOnRandomGraph) {
+// What the test added, kept beside the store: edge id -> endpoints,
+// kind and the "w" attribute. A std::map iterates in edge-id order, the
+// order every edge cursor yields.
+struct ModelEdge {
+  NodeId src = 0;
+  NodeId dst = 0;
+  uint32_t kind = 0;
+  int64_t w = 0;
+};
+
+TEST_F(GraphCursorTest, EdgeCursorMatchesModelOnRandomGraph) {
   util::Rng rng(2009);
   const int kNodes = 60;
   std::vector<NodeId> nodes;
@@ -332,28 +342,27 @@ TEST_F(GraphCursorTest, EdgeCursorMatchesForEachOnRandomGraph) {
     ASSERT_TRUE(id.ok());
     nodes.push_back(*id);
   }
+  std::map<EdgeId, ModelEdge> model;
   for (int i = 0; i < 400; ++i) {
     NodeId src = nodes[rng.Uniform(kNodes)];
     NodeId dst = nodes[rng.Uniform(kNodes)];
+    const auto kind = static_cast<uint32_t>(rng.Uniform(8));
     AttrMap attrs;
     attrs.SetInt("w", static_cast<int64_t>(i));
-    ASSERT_TRUE(
-        store_->AddEdge(src, dst, static_cast<uint32_t>(rng.Uniform(8)),
-                        attrs)
-            .ok());
+    auto id = store_->AddEdge(src, dst, kind, attrs);
+    ASSERT_TRUE(id.ok());
+    model[*id] = ModelEdge{src, dst, kind, static_cast<int64_t>(i)};
   }
 
   for (NodeId node : nodes) {
     for (Direction dir : {Direction::kOut, Direction::kIn}) {
-      // Reference enumeration via the deprecated callback wrapper.
-      std::vector<Edge> expected;
-      ASSERT_TRUE(store_
-                      ->ForEachEdge(node, dir,
-                                    [&](const Edge& e) {
-                                      expected.push_back(e);
-                                      return true;
-                                    })
-                      .ok());
+      // Reference enumeration: the model's edges at this end of `node`.
+      std::vector<std::pair<EdgeId, ModelEdge>> expected;
+      for (const auto& [id, e] : model) {
+        if ((dir == Direction::kOut ? e.src : e.dst) == node) {
+          expected.emplace_back(id, e);
+        }
+      }
       // Cursor enumeration with full materialization.
       QueryStats stats;
       std::vector<Edge> got;
@@ -370,11 +379,11 @@ TEST_F(GraphCursorTest, EdgeCursorMatchesForEachOnRandomGraph) {
 
       ASSERT_EQ(got.size(), expected.size());
       for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].id, expected[i].id);
-        EXPECT_EQ(got[i].src, expected[i].src);
-        EXPECT_EQ(got[i].dst, expected[i].dst);
-        EXPECT_EQ(got[i].kind, expected[i].kind);
-        EXPECT_EQ(got[i].attrs.GetInt("w"), expected[i].attrs.GetInt("w"));
+        EXPECT_EQ(got[i].id, expected[i].first);
+        EXPECT_EQ(got[i].src, expected[i].second.src);
+        EXPECT_EQ(got[i].dst, expected[i].second.dst);
+        EXPECT_EQ(got[i].kind, expected[i].second.kind);
+        EXPECT_EQ(got[i].attrs.GetInt("w"), expected[i].second.w);
       }
       // Degree (cursor counting) agrees with both.
       auto degree = store_->Degree(node, dir);
@@ -386,41 +395,30 @@ TEST_F(GraphCursorTest, EdgeCursorMatchesForEachOnRandomGraph) {
   }
 }
 
-TEST_F(GraphCursorTest, FullScanCursorsMatchForEach) {
+TEST_F(GraphCursorTest, FullScanCursorsMatchModel) {
   util::Rng rng(7);
-  std::vector<NodeId> nodes;
+  // The ids AddNode and AddEdge returned, in the order they were added.
+  std::vector<NodeId> expected_nodes;
   for (int i = 0; i < 30; ++i) {
     auto id = store_->AddNode(1 + static_cast<uint32_t>(rng.Uniform(3)));
     ASSERT_TRUE(id.ok());
-    nodes.push_back(*id);
+    expected_nodes.push_back(*id);
   }
+  std::vector<EdgeId> expected_edges;
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(store_
-                    ->AddEdge(nodes[rng.Uniform(nodes.size())],
-                              nodes[rng.Uniform(nodes.size())], 1)
-                    .ok());
+    auto id = store_->AddEdge(
+        expected_nodes[rng.Uniform(expected_nodes.size())],
+        expected_nodes[rng.Uniform(expected_nodes.size())], 1);
+    ASSERT_TRUE(id.ok());
+    expected_edges.push_back(*id);
   }
 
-  std::vector<NodeId> expected_nodes;
-  ASSERT_TRUE(store_
-                  ->ForEachNode([&](const Node& n) {
-                    expected_nodes.push_back(n.id);
-                    return true;
-                  })
-                  .ok());
   std::vector<NodeId> got_nodes;
   NodeCursor ncur = store_->Nodes();
   for (; ncur.Valid(); ncur.Next()) got_nodes.push_back(ncur.node().id());
   ASSERT_TRUE(ncur.status().ok());
   EXPECT_EQ(got_nodes, expected_nodes);
 
-  std::vector<EdgeId> expected_edges;
-  ASSERT_TRUE(store_
-                  ->ForEachEdge([&](const Edge& e) {
-                    expected_edges.push_back(e.id);
-                    return true;
-                  })
-                  .ok());
   std::vector<EdgeId> got_edges;
   EdgeCursor ecur = store_->Edges();
   for (; ecur.Valid(); ecur.Next()) got_edges.push_back(ecur.edge().id());

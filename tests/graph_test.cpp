@@ -163,25 +163,21 @@ TEST_F(GraphStoreTest, AdjacencyBothDirections) {
   MustAddEdge(b, c, 30);
 
   std::multiset<NodeId> out_of_a;
-  ASSERT_TRUE(store_
-                  ->ForEachEdge(a, Direction::kOut,
-                                [&](const Edge& e) {
-                                  EXPECT_EQ(e.src, a);
-                                  out_of_a.insert(e.dst);
-                                  return true;
-                                })
-                  .ok());
+  EdgeCursor out = store_->Edges(a, Direction::kOut);
+  for (; out.Valid(); out.Next()) {
+    EXPECT_EQ(out.edge().src(), a);
+    out_of_a.insert(out.edge().dst());
+  }
+  ASSERT_TRUE(out.status().ok());
   EXPECT_EQ(out_of_a, (std::multiset<NodeId>{b, c}));
 
   std::multiset<NodeId> into_c;
-  ASSERT_TRUE(store_
-                  ->ForEachEdge(c, Direction::kIn,
-                                [&](const Edge& e) {
-                                  EXPECT_EQ(e.dst, c);
-                                  into_c.insert(e.src);
-                                  return true;
-                                })
-                  .ok());
+  EdgeCursor in = store_->Edges(c, Direction::kIn);
+  for (; in.Valid(); in.Next()) {
+    EXPECT_EQ(in.edge().dst(), c);
+    into_c.insert(in.edge().src());
+  }
+  ASSERT_TRUE(in.status().ok());
   EXPECT_EQ(into_c, (std::multiset<NodeId>{a, b}));
 
   EXPECT_EQ(*store_->Degree(a, Direction::kOut), 2u);
@@ -215,21 +211,17 @@ TEST_F(GraphStoreTest, CountsAndFullScans) {
   EXPECT_EQ(*store_->NodeCount(), 2u);
   EXPECT_EQ(*store_->EdgeCount(), 1u);
   int nodes_seen = 0;
-  ASSERT_TRUE(store_
-                  ->ForEachNode([&](const Node&) {
-                    ++nodes_seen;
-                    return true;
-                  })
-                  .ok());
+  NodeCursor nodes = store_->Nodes();
+  for (; nodes.Valid(); nodes.Next()) ++nodes_seen;
+  ASSERT_TRUE(nodes.status().ok());
   EXPECT_EQ(nodes_seen, 2);
   int edges_seen = 0;
-  ASSERT_TRUE(store_
-                  ->ForEachEdge([&](const Edge& e) {
-                    EXPECT_EQ(e.kind, 7u);
-                    ++edges_seen;
-                    return true;
-                  })
-                  .ok());
+  EdgeCursor edges = store_->Edges();
+  for (; edges.Valid(); edges.Next()) {
+    EXPECT_EQ(edges.edge().kind(), 7u);
+    ++edges_seen;
+  }
+  ASSERT_TRUE(edges.status().ok());
   EXPECT_EQ(edges_seen, 1);
 }
 

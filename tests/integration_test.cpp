@@ -172,38 +172,36 @@ TEST_F(IntegrationTest, DownloadChainsResolveAgainstGroundTruth) {
 TEST_F(IntegrationTest, PlacesLosesTypedChainsProvenanceKeepsThem) {
   // Count visit rows with no referrer in each schema.
   uint64_t places_orphans = 0, places_visits = 0;
-  ASSERT_TRUE(places_
-                  ->ForEachVisit([&](uint64_t, const places::VisitRow& row) {
-                    ++places_visits;
-                    if (row.from_visit == 0) ++places_orphans;
-                    return true;
-                  })
-                  .ok());
+  auto visits = places_->Visits();
+  for (; visits.Valid(); visits.Next()) {
+    auto row = visits.row();
+    ASSERT_TRUE(row.ok());
+    ++places_visits;
+    if (row->from_visit == 0) ++places_orphans;
+  }
+  ASSERT_TRUE(visits.status().ok());
   // Provenance: count visit nodes with no incoming action edge.
   uint64_t prov_orphans = 0, prov_visits = 0;
-  ASSERT_TRUE(
-      prov_->graph()
-          .ForEachNode([&](const graph::Node& node) {
-            if (node.kind !=
-                static_cast<uint32_t>(prov::NodeKind::kVisit)) {
-              return true;
-            }
-            ++prov_visits;
-            uint64_t in_actions = 0;
-            auto st = prov_->graph().ForEachEdge(
-                node.id, graph::Direction::kIn,
-                [&](const graph::Edge& edge) {
-                  if (edge.kind !=
-                      static_cast<uint32_t>(prov::EdgeKind::kInstanceOf)) {
-                    ++in_actions;
-                  }
-                  return true;
-                });
-            if (!st.ok()) return false;
-            if (in_actions == 0) ++prov_orphans;
-            return true;
-          })
-          .ok());
+  graph::NodeCursor nodes = prov_->graph().Nodes();
+  for (; nodes.Valid(); nodes.Next()) {
+    if (nodes.node().kind() !=
+        static_cast<uint32_t>(prov::NodeKind::kVisit)) {
+      continue;
+    }
+    ++prov_visits;
+    uint64_t in_actions = 0;
+    graph::EdgeCursor in =
+        prov_->graph().Edges(nodes.node().id(), graph::Direction::kIn);
+    for (; in.Valid(); in.Next()) {
+      if (in.edge().kind() !=
+          static_cast<uint32_t>(prov::EdgeKind::kInstanceOf)) {
+        ++in_actions;
+      }
+    }
+    ASSERT_TRUE(in.status().ok());
+    if (in_actions == 0) ++prov_orphans;
+  }
+  ASSERT_TRUE(nodes.status().ok());
   ASSERT_GT(places_visits, 0u);
   double places_rate =
       static_cast<double>(places_orphans) / places_visits;

@@ -88,13 +88,14 @@ TEST_F(PlacesTest, BookmarkWithoutVisitCreatesZeroVisitPlace) {
   ASSERT_TRUE(place.ok());
   EXPECT_EQ(place->visit_count, 0);
   int bookmarks = 0;
-  ASSERT_TRUE(store_
-                  ->ForEachBookmark([&](uint64_t, const BookmarkRow& row) {
-                    EXPECT_EQ(row.title, "Saved");
-                    ++bookmarks;
-                    return true;
-                  })
-                  .ok());
+  auto cur = store_->Bookmarks();
+  for (; cur.Valid(); cur.Next()) {
+    auto row = cur.row();
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->title, "Saved");
+    ++bookmarks;
+  }
+  ASSERT_TRUE(cur.status().ok());
   EXPECT_EQ(bookmarks, 1);
 }
 
@@ -105,16 +106,17 @@ TEST_F(PlacesTest, InputHistoryCountsUses) {
   int rows = 0;
   int64_t rosebud_uses = 0;
   TimeMs rosebud_last = 0;
-  ASSERT_TRUE(store_
-                  ->ForEachInput([&](uint64_t, const InputRow& row) {
-                    ++rows;
-                    if (row.input == "rosebud") {
-                      rosebud_uses = row.use_count;
-                      rosebud_last = row.last_used;
-                    }
-                    return true;
-                  })
-                  .ok());
+  auto cur = store_->Inputs();
+  for (; cur.Valid(); cur.Next()) {
+    auto row = cur.row();
+    ASSERT_TRUE(row.ok());
+    ++rows;
+    if (row->input == "rosebud") {
+      rosebud_uses = row->use_count;
+      rosebud_last = row->last_used;
+    }
+  }
+  ASSERT_TRUE(cur.status().ok());
   EXPECT_EQ(rows, 2);  // deduplicated by input string
   EXPECT_EQ(rosebud_uses, 2);
   EXPECT_EQ(rosebud_last, 20);
@@ -127,26 +129,27 @@ TEST_F(PlacesTest, DownloadLinksToKnownPlace) {
   auto d = store_->AddDownload("http://host/dl", "/tmp/file.zip", 10);
   ASSERT_TRUE(d.ok());
   int seen = 0;
-  ASSERT_TRUE(store_
-                  ->ForEachDownload([&](uint64_t, const DownloadRow& row) {
-                    EXPECT_EQ(row.place_id,
-                              *store_->PlaceIdForUrl("http://host/dl"));
-                    EXPECT_EQ(row.target_path, "/tmp/file.zip");
-                    ++seen;
-                    return true;
-                  })
-                  .ok());
+  auto cur = store_->Downloads();
+  for (; cur.Valid(); cur.Next()) {
+    auto row = cur.row();
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->place_id, *store_->PlaceIdForUrl("http://host/dl"));
+    EXPECT_EQ(row->target_path, "/tmp/file.zip");
+    ++seen;
+  }
+  ASSERT_TRUE(cur.status().ok());
   EXPECT_EQ(seen, 1);
 }
 
 TEST_F(PlacesTest, DownloadFromUnknownSourceHasNoPlace) {
   ASSERT_TRUE(store_->AddDownload("http://nowhere/f.bin", "/tmp/f", 1).ok());
-  ASSERT_TRUE(store_
-                  ->ForEachDownload([&](uint64_t, const DownloadRow& row) {
-                    EXPECT_EQ(row.place_id, 0u);
-                    return true;
-                  })
-                  .ok());
+  auto cur = store_->Downloads();
+  for (; cur.Valid(); cur.Next()) {
+    auto row = cur.row();
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->place_id, 0u);
+  }
+  ASSERT_TRUE(cur.status().ok());
 }
 
 TEST_F(PlacesTest, FrecencyPrefersRecentTypedAndFrequent) {

@@ -15,6 +15,7 @@ namespace {
 
 using graph::Direction;
 using graph::Edge;
+using graph::EdgeCursor;
 using graph::Node;
 using storage::DbOptions;
 using storage::MemEnv;
@@ -94,19 +95,17 @@ TEST_P(ProvTest, NavigationEdgeRecorded) {
                                 2000, 1);
   ASSERT_TRUE(v2.ok());
   int nav_edges = 0;
-  ASSERT_TRUE(store_->graph()
-                  .ForEachEdge(*v1, Direction::kOut,
-                               [&](const Edge& edge) {
-                                 if (IsNavigationEdge(
-                                         static_cast<EdgeKind>(edge.kind))) {
-                                   EXPECT_EQ(edge.dst, *v2);
-                                   EXPECT_EQ(edge.attrs.GetInt(kAttrTime),
-                                             2000);
-                                   ++nav_edges;
-                                 }
-                                 return true;
-                               })
-                  .ok());
+  EdgeCursor out = store_->graph().Edges(*v1, Direction::kOut);
+  for (; out.Valid(); out.Next()) {
+    auto edge = out.edge().Materialize();
+    ASSERT_TRUE(edge.ok());
+    if (IsNavigationEdge(static_cast<EdgeKind>(edge->kind))) {
+      EXPECT_EQ(edge->dst, *v2);
+      EXPECT_EQ(edge->attrs.GetInt(kAttrTime), 2000);
+      ++nav_edges;
+    }
+  }
+  ASSERT_TRUE(out.status().ok());
   EXPECT_EQ(nav_edges, 1);
 }
 
@@ -118,16 +117,13 @@ TEST_P(ProvTest, TypedEdgeIsFirstClass) {
                                 2000, 1);
   ASSERT_TRUE(v2.ok());
   bool found = false;
-  ASSERT_TRUE(store_->graph()
-                  .ForEachEdge(*v2, Direction::kIn,
-                               [&](const Edge& edge) {
-                                 if (edge.kind ==
-                                     static_cast<uint32_t>(EdgeKind::kTyped)) {
-                                   found = true;
-                                 }
-                                 return true;
-                               })
-                  .ok());
+  EdgeCursor in = store_->graph().Edges(*v2, Direction::kIn);
+  for (; in.Valid(); in.Next()) {
+    if (in.edge().kind() == static_cast<uint32_t>(EdgeKind::kTyped)) {
+      found = true;
+    }
+  }
+  ASSERT_TRUE(in.status().ok());
   EXPECT_TRUE(found);
 }
 
@@ -152,17 +148,14 @@ TEST_P(ProvTest, SearchLineage) {
 
   // Issuances point at the canonical term.
   int instances = 0;
-  ASSERT_TRUE(
-      store_->graph()
-          .ForEachEdge(*term, Direction::kIn,
-                       [&](const Edge& edge) {
-                         if (edge.kind == static_cast<uint32_t>(
-                                              EdgeKind::kTermInstanceOf)) {
-                           ++instances;
-                         }
-                         return true;
-                       })
-          .ok());
+  EdgeCursor in = store_->graph().Edges(*term, Direction::kIn);
+  for (; in.Valid(); in.Next()) {
+    if (in.edge().kind() ==
+        static_cast<uint32_t>(EdgeKind::kTermInstanceOf)) {
+      ++instances;
+    }
+  }
+  ASSERT_TRUE(in.status().ok());
   EXPECT_EQ(instances, 2);
 }
 

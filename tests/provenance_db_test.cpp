@@ -144,6 +144,60 @@ TEST_F(ProvenanceDbTest, IngestAllChunkRollsBackOnASinkFailure) {
   EXPECT_TRUE(db_->store().PageForUrl("http://a.example/").ok());
 }
 
+// `lost` is the stream id of a visit whose chunk just rolled back. The
+// recorder must have forgotten it: the next page reuses the rolled-back
+// node ids, so a later link whose referrer is `lost` must not hang off
+// that page.
+void ExpectLostVisitIsForgotten(ProvenanceDb& db, uint64_t lost) {
+  EXPECT_EQ(db.recorder().visit_map().count(lost), 0u);
+
+  sim::ScenarioBuilder next(util::Days(1) + util::Minutes(1), 20);
+  const uint64_t v20 = next.Visit(1, "http://b.example/", "B",
+                                  capture::NavigationAction::kTyped);
+  ASSERT_TRUE(db.IngestAll(next.events()).ok());
+  const graph::NodeId reused = db.recorder().visit_map().at(v20);
+
+  sim::ScenarioBuilder later(util::Days(1) + util::Minutes(2), 30);
+  const uint64_t v30 = later.Visit(1, "http://c.example/", "C",
+                                   capture::NavigationAction::kLink, lost);
+  ASSERT_TRUE(db.IngestAll(later.events()).ok());
+  EXPECT_EQ(db.recorder().visit_map().count(lost), 0u);
+  graph::EdgeCursor in = db.store().graph().Edges(
+      db.recorder().visit_map().at(v30), graph::Direction::kIn);
+  for (; in.Valid(); in.Next()) {
+    EXPECT_NE(in.edge().src(), reused)
+        << "edge kind " << in.edge().kind() << " from the reused node";
+  }
+  ASSERT_TRUE(in.status().ok());
+}
+
+TEST_F(ProvenanceDbTest, RolledBackChunkForgetsItsStreamIds) {
+  // Stream ids 10 and 11: visit 10 (a.example), then the poison visit.
+  sim::ScenarioBuilder failed(util::Days(1), 10);
+  const uint64_t v10 = failed.Visit(1, "http://a.example/", "A",
+                                    capture::NavigationAction::kTyped);
+  failed.Visit(1, "http://poison.example/", "P",
+               capture::NavigationAction::kTyped);
+  db_->bus().Subscribe(&poison_);
+  EXPECT_EQ(db_->IngestAll(failed.events()).code(),
+            util::StatusCode::kIoError);
+  ExpectLostVisitIsForgotten(*db_, v10);
+}
+
+TEST_F(ProvenanceDbTest, RolledBackChunkRestoresTheStreamIdsItReplaced) {
+  sim::ScenarioBuilder s(util::Days(1), 10);
+  const uint64_t v10 = s.Visit(1, "http://a.example/", "A",
+                               capture::NavigationAction::kTyped);
+  ASSERT_TRUE(db_->IngestAll(s.events()).ok());
+  const graph::NodeId committed = db_->recorder().visit_map().at(v10);
+  // Replaying visit 10 maps it to a fresh node, in a chunk that fails.
+  s.Visit(1, "http://poison.example/", "P",
+          capture::NavigationAction::kTyped);
+  db_->bus().Subscribe(&poison_);
+  EXPECT_EQ(db_->IngestAll(s.events()).code(), util::StatusCode::kIoError);
+  EXPECT_EQ(db_->recorder().visit_map().at(v10), committed);
+}
+
 TEST_F(ProvenanceDbTest, SnapshotViewIsIsolatedFromLaterIngest) {
   IngestRosebudSession();
   auto view = db_->BeginSnapshot();
@@ -722,11 +776,12 @@ TEST(ProvenanceDbReopenTest, TextScoresSurviveCloseAndReopen) {
 }
 
 // Passes every call through to a MemEnv, except that once armed, the
-// next Sync of a file named *.wal fails. Every later Sync passes again,
-// as it would on a device whose error was reported once.
-class FailOneWalSyncEnv : public storage::Env {
+// next Sync (or Write) of a file named *.wal fails. Every later call
+// passes again, as it would on a device whose error was reported once.
+class FailOneWalOpEnv : public storage::Env {
  public:
-  void FailNextWalSync() { fail_next_.store(true); }
+  void FailNextWalSync() { fail_next_sync_.store(true); }
+  void FailNextWalWrite() { fail_next_write_.store(true); }
 
   util::Result<std::unique_ptr<storage::File>> Open(
       const std::string& name) override {
@@ -735,7 +790,7 @@ class FailOneWalSyncEnv : public storage::Env {
         name.size() > 4 && name.compare(name.size() - 4, 4, ".wal") == 0;
     if (!is_wal) return file;
     return std::unique_ptr<storage::File>(
-        std::make_unique<WalFile>(std::move(file), &fail_next_));
+        std::make_unique<WalFile>(std::move(file), this));
   }
   util::Status Remove(const std::string& name) override {
     return mem_.Remove(name);
@@ -747,17 +802,20 @@ class FailOneWalSyncEnv : public storage::Env {
  private:
   class WalFile : public storage::File {
    public:
-    WalFile(std::unique_ptr<storage::File> inner, std::atomic<bool>* fail_next)
-        : inner_(std::move(inner)), fail_next_(fail_next) {}
+    WalFile(std::unique_ptr<storage::File> inner, FailOneWalOpEnv* env)
+        : inner_(std::move(inner)), env_(env) {}
     util::Status Read(uint64_t offset, size_t n,
                       std::string* out) const override {
       return inner_->Read(offset, n, out);
     }
     util::Status Write(uint64_t offset, std::string_view data) override {
+      if (env_->fail_next_write_.exchange(false)) {
+        return util::Status::IoError("injected WAL write failure");
+      }
       return inner_->Write(offset, data);
     }
     util::Status Sync() override {
-      if (fail_next_->exchange(false)) {
+      if (env_->fail_next_sync_.exchange(false)) {
         return util::Status::IoError("injected WAL fsync failure");
       }
       return inner_->Sync();
@@ -769,11 +827,12 @@ class FailOneWalSyncEnv : public storage::Env {
 
    private:
     std::unique_ptr<storage::File> inner_;
-    std::atomic<bool>* fail_next_;
+    FailOneWalOpEnv* env_;
   };
 
   storage::MemEnv mem_;
-  std::atomic<bool> fail_next_{false};
+  std::atomic<bool> fail_next_sync_{false};
+  std::atomic<bool> fail_next_write_{false};
 };
 
 // After one failed WAL fsync nothing may be acknowledged: the kernel
@@ -781,7 +840,7 @@ class FailOneWalSyncEnv : public storage::Env {
 // that succeeds proves nothing about them. Only a reopen, which
 // recovers from what the log really holds, clears the error.
 TEST(ProvenanceDbFsyncFailureTest, NoAcknowledgementAfterAFailedWalFsync) {
-  FailOneWalSyncEnv env;
+  FailOneWalOpEnv env;
   ProvenanceDb::Options options;
   options.db.env = &env;
   auto visit = [](int i) {
@@ -833,6 +892,26 @@ TEST(ProvenanceDbFsyncFailureTest, NoAcknowledgementAfterAFailedWalFsync) {
         << "acknowledged event " << i << " lost";
   }
   EXPECT_TRUE((*db)->Sync().ok());
+}
+
+// A chunk whose commit frame never reaches the log rolls back, and the
+// stream ids it mapped go with it.
+TEST(ProvenanceDbCommitFailureTest, FailedCommitForgetsItsStreamIds) {
+  FailOneWalOpEnv env;
+  ProvenanceDb::Options options;
+  options.db.env = &env;
+  auto db = ProvenanceDb::Open("commit.db", options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  sim::ScenarioBuilder failed(util::Days(1), 10);
+  const uint64_t v10 = failed.Visit(1, "http://a.example/", "A",
+                                    capture::NavigationAction::kTyped);
+  env.FailNextWalWrite();
+  EXPECT_EQ((*db)->IngestAll(failed.events()).code(),
+            util::StatusCode::kIoError);
+  EXPECT_TRUE((*db)->store().PageForUrl("http://a.example/")
+                  .status()
+                  .IsNotFound());
+  ExpectLostVisitIsForgotten(**db, v10);
 }
 
 }  // namespace

@@ -338,16 +338,15 @@ TEST_F(BTreeTest, ManyKeysSplitAndRemainSorted) {
   EXPECT_EQ(*tree_->Count(), static_cast<uint64_t>(kN));
   std::string prev;
   uint64_t seen = 0;
-  ASSERT_TRUE(tree_
-                  ->ForEach([&](std::string_view key, std::string_view) {
-                    if (seen > 0) {
-                      EXPECT_LT(prev, key);
-                    }
-                    prev = std::string(key);
-                    ++seen;
-                    return true;
-                  })
-                  .ok());
+  BTree::Cursor cur = tree_->NewCursor();
+  for (cur.SeekFirst(); cur.Valid(); cur.Next()) {
+    if (seen > 0) {
+      EXPECT_LT(prev, cur.key());
+    }
+    prev = std::string(cur.key());
+    ++seen;
+  }
+  ASSERT_TRUE(cur.status().ok());
   EXPECT_EQ(seen, static_cast<uint64_t>(kN));
   auto stats = tree_->Stats();
   ASSERT_TRUE(stats.ok());
@@ -381,16 +380,15 @@ TEST_F(BTreeTest, RangeScan) {
         tree_->Put(OrderedKeyU64(static_cast<uint64_t>(i)), "v").ok());
   }
   int count = 0;
-  ASSERT_TRUE(tree_
-                  ->ForEachRange(OrderedKeyU64(10), OrderedKeyU64(20),
-                                 [&](std::string_view key, std::string_view) {
-                                   uint64_t id = util::DecodeOrderedKeyU64(key);
-                                   EXPECT_GE(id, 10u);
-                                   EXPECT_LT(id, 20u);
-                                   ++count;
-                                   return true;
-                                 })
-                  .ok());
+  BTree::Cursor cur = tree_->NewCursor();
+  for (cur.SeekRange(OrderedKeyU64(10), OrderedKeyU64(20)); cur.Valid();
+       cur.Next()) {
+    uint64_t id = util::DecodeOrderedKeyU64(cur.key());
+    EXPECT_GE(id, 10u);
+    EXPECT_LT(id, 20u);
+    ++count;
+  }
+  ASSERT_TRUE(cur.status().ok());
   EXPECT_EQ(count, 10);
 }
 
@@ -400,28 +398,12 @@ TEST_F(BTreeTest, PrefixScan) {
   ASSERT_TRUE(tree_->Put("applesauce", "3").ok());
   ASSERT_TRUE(tree_->Put("banana", "4").ok());
   std::vector<std::string> keys;
-  ASSERT_TRUE(tree_
-                  ->ForEachPrefix("apple",
-                                  [&](std::string_view key, std::string_view) {
-                                    keys.emplace_back(key);
-                                    return true;
-                                  })
-                  .ok());
-  EXPECT_EQ(keys, (std::vector<std::string>{"apple", "applesauce"}));
-}
-
-TEST_F(BTreeTest, EarlyStopScan) {
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(
-        tree_->Put(OrderedKeyU64(static_cast<uint64_t>(i)), "v").ok());
+  BTree::Cursor cur = tree_->NewCursor();
+  for (cur.SeekPrefix("apple"); cur.Valid(); cur.Next()) {
+    keys.emplace_back(cur.key());
   }
-  int count = 0;
-  ASSERT_TRUE(tree_
-                  ->ForEach([&](std::string_view, std::string_view) {
-                    return ++count < 5;
-                  })
-                  .ok());
-  EXPECT_EQ(count, 5);
+  ASSERT_TRUE(cur.status().ok());
+  EXPECT_EQ(keys, (std::vector<std::string>{"apple", "applesauce"}));
 }
 
 TEST_F(BTreeTest, DeleteAllKeysLeavesEmptyTree) {
@@ -496,15 +478,15 @@ void ExpectTreeEquals(const BTree& tree,
     EXPECT_EQ(*got, value);
   }
   auto it = model.begin();
-  ASSERT_TRUE(tree.ForEach([&](std::string_view key, std::string_view value) {
-                    EXPECT_NE(it, model.end());
-                    if (it == model.end()) return false;
-                    EXPECT_EQ(key, it->first);
-                    EXPECT_EQ(value, it->second);
-                    ++it;
-                    return true;
-                  })
-                  .ok());
+  BTree::Cursor cur = tree.NewCursor();
+  for (cur.SeekFirst(); cur.Valid(); cur.Next()) {
+    EXPECT_NE(it, model.end());
+    if (it == model.end()) break;
+    EXPECT_EQ(cur.key(), it->first);
+    EXPECT_EQ(cur.value(), it->second);
+    ++it;
+  }
+  ASSERT_TRUE(cur.status().ok());
   EXPECT_EQ(it, model.end());
 }
 
@@ -856,19 +838,20 @@ TEST_F(TableTest, DeleteDoesNotReuseIds) {
   EXPECT_TRUE(table_->Get(1).status().IsNotFound());
 }
 
-TEST_F(TableTest, ForEachVisitsInIdOrder) {
+TEST_F(TableTest, ScanVisitsInIdOrder) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(table_->Insert({"n" + std::to_string(i), i}).ok());
   }
   uint64_t expected = 1;
-  ASSERT_TRUE(table_
-                  ->ForEach([&](uint64_t id, const TestRow& row) {
-                    EXPECT_EQ(id, expected);
-                    EXPECT_EQ(row.score, static_cast<int64_t>(expected - 1));
-                    ++expected;
-                    return true;
-                  })
-                  .ok());
+  Table<TestRow>::Cursor cur = table_->Scan();
+  for (; cur.Valid(); cur.Next()) {
+    auto row = cur.row();
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(cur.id(), expected);
+    EXPECT_EQ(row->score, static_cast<int64_t>(expected - 1));
+    ++expected;
+  }
+  ASSERT_TRUE(cur.status().ok());
   EXPECT_EQ(expected, 51u);
 }
 
@@ -888,23 +871,26 @@ class IndexTest : public ::testing::Test {
     db_ = std::move(*db);
     auto tree = db_->CreateTree("idx");
     ASSERT_TRUE(tree.ok());
-    index_ = std::make_unique<Index>(*tree);
+    tree_ = *tree;
+    index_ = std::make_unique<Index>(tree_);
   }
 
+  // Reads the index tree itself. An entry is key + '\0' + big-endian
+  // row id, so the 8 last bytes are the id.
   std::vector<uint64_t> Lookup(std::string_view key) {
     std::vector<uint64_t> ids;
-    EXPECT_TRUE(index_
-                    ->ForEachEqual(key,
-                                   [&](uint64_t id) {
-                                     ids.push_back(id);
-                                     return true;
-                                   })
-                    .ok());
+    BTree::Cursor cur = tree_->NewCursor();
+    for (cur.SeekPrefix(std::string(key) + '\0'); cur.Valid(); cur.Next()) {
+      ids.push_back(
+          util::DecodeOrderedKeyU64(cur.key().substr(cur.key().size() - 8)));
+    }
+    EXPECT_TRUE(cur.status().ok());
     return ids;
   }
 
   MemEnv env_;
   std::unique_ptr<Db> db_;
+  BTree* tree_ = nullptr;
   std::unique_ptr<Index> index_;
 };
 
@@ -936,13 +922,14 @@ TEST_F(IndexTest, PrefixIterationYieldsKeysAndIds) {
   ASSERT_TRUE(index_->Add("apricot", 2).ok());
   ASSERT_TRUE(index_->Add("banana", 3).ok());
   std::vector<std::pair<std::string, uint64_t>> got;
-  ASSERT_TRUE(index_
-                  ->ForEachPrefix("ap",
-                                  [&](std::string_view key, uint64_t id) {
-                                    got.emplace_back(std::string(key), id);
-                                    return true;
-                                  })
-                  .ok());
+  BTree::Cursor cur = tree_->NewCursor();
+  for (cur.SeekPrefix("ap"); cur.Valid(); cur.Next()) {
+    std::string_view entry = cur.key();  // key + '\0' + row id
+    got.emplace_back(
+        std::string(entry.substr(0, entry.size() - 9)),
+        util::DecodeOrderedKeyU64(entry.substr(entry.size() - 8)));
+  }
+  ASSERT_TRUE(cur.status().ok());
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], (std::pair<std::string, uint64_t>{"apple", 1}));
   EXPECT_EQ(got[1], (std::pair<std::string, uint64_t>{"apricot", 2}));

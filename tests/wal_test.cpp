@@ -554,11 +554,11 @@ using Model = std::map<uint64_t, std::string>;
 
 Model ReadTree(storage::BTree* tree) {
   Model out;
-  EXPECT_TRUE(tree->ForEach([&](std::string_view key, std::string_view v) {
-                    out[util::DecodeOrderedKeyU64(key)] = std::string(v);
-                    return true;
-                  })
-                  .ok());
+  storage::BTree::Cursor cur = tree->NewCursor();
+  for (cur.SeekFirst(); cur.Valid(); cur.Next()) {
+    out[util::DecodeOrderedKeyU64(cur.key())] = std::string(cur.value());
+  }
+  EXPECT_TRUE(cur.status().ok());
   return out;
 }
 
